@@ -72,12 +72,10 @@ class ServiceConfig:
     db_path: str | Path = "repro-jobs.sqlite"
     batch_max: int = 16              #: max jobs coalesced per run_batch
     batch_wait: float = 0.05         #: coalescing window (seconds)
-    poll_interval: float = 0.05      #: scheduler idle poll (seconds)
     max_queue_depth: int = 256       #: admission bound: queued jobs
     max_queued_bytes: int = 8 << 20  #: admission bound: queued spec bytes
     rate_limit: float = 0.0          #: per-client submits/sec (0 = off)
     rate_burst: int = 20             #: token-bucket burst size
-    wait_poll: float = 0.05          #: long-poll check interval
     wait_max: float = 60.0           #: cap on one long-poll request
     start_paused: bool = False       #: scheduler idles until unpaused
 
@@ -132,7 +130,7 @@ class ServiceServer:
         self.store = JobStore(self.config.db_path)
         self.recovered = self.store.recover()
         self.registry = MetricsRegistry()
-        self.paused = self.config.start_paused
+        self._paused = self.config.start_paused
         #: Engine drain token — set once, at shutdown.
         self.cancel = threading.Event()
         self.draining = False
@@ -142,7 +140,12 @@ class ServiceServer:
         self._batch: _BatchState | None = None
         self._mlock = threading.Lock()
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._shutdown_ev: asyncio.Event | None = None
+        self._shutdown_ev = asyncio.Event()
+        #: Set when the scheduler may have work: submit, un-pause, drain.
+        self._wake = asyncio.Event()
+        #: Open long-polls by job id; each future resolves when its job
+        #: may have become terminal.  Loop-thread only.
+        self._waiters: dict[str, set[asyncio.Future]] = {}
         self._handlers: set[asyncio.Task] = set()
         self._ready = threading.Event()
         self._thread: threading.Thread | None = None
@@ -154,6 +157,31 @@ class ServiceServer:
                     .inc(self.recovered)
 
     # -- lifecycle -----------------------------------------------------
+    @property
+    def paused(self) -> bool:
+        """While True the scheduler claims nothing; settable from any
+        thread (un-pausing wakes the scheduler)."""
+        return self._paused
+
+    @paused.setter
+    def paused(self, value: bool) -> None:
+        self._paused = value
+        if not value:
+            self._call_soon(self._wake.set)
+
+    def _call_soon(self, fn, *args) -> None:
+        """Thread-safe: run ``fn(*args)`` on the server loop, if any."""
+        loop = self._loop
+        if loop is not None and not loop.is_closed():
+            loop.call_soon_threadsafe(fn, *args)
+
+    def _wake_waiters(self, job_ids) -> None:
+        """Resolve the open long-polls on ``job_ids`` (loop thread)."""
+        for job_id in job_ids:
+            for fut in self._waiters.get(job_id, ()):
+                if not fut.done():
+                    fut.set_result(None)
+
     def run(self, *, install_signal_handlers: bool = True) -> None:
         """Serve until :meth:`request_shutdown` (or SIGTERM/SIGINT)."""
         try:
@@ -189,14 +217,11 @@ class ServiceServer:
 
     def request_shutdown(self) -> None:
         """Thread-safe graceful-shutdown trigger (idempotent)."""
-        loop, ev = self._loop, self._shutdown_ev
-        if loop is not None and ev is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(ev.set)
+        self._call_soon(self._shutdown_ev.set)
 
     async def _main(self, install_signal_handlers: bool) -> None:
         loop = asyncio.get_running_loop()
         self._loop = loop
-        self._shutdown_ev = asyncio.Event()
         if install_signal_handlers:
             for sig in (signal.SIGTERM, signal.SIGINT):
                 loop.add_signal_handler(sig, self._shutdown_ev.set)
@@ -212,6 +237,10 @@ class ServiceServer:
             # what is already in flight, requeue the rest.
             self.draining = True
             self.cancel.set()
+            # Waiters before the scheduler: a woken long-poll then
+            # answers before the handler sweep below cancels it.
+            self._wake_waiters(list(self._waiters))
+            self._wake.set()
             server.close()
             await server.wait_closed()
             await scheduler
@@ -230,28 +259,22 @@ class ServiceServer:
             self._engines[sanitize] = eng
         return eng
 
-    async def _sleep(self, seconds: float) -> None:
-        """Sleep, but wake immediately on shutdown."""
-        assert self._shutdown_ev is not None
-        try:
-            await asyncio.wait_for(self._shutdown_ev.wait(),
-                                   timeout=seconds)
-        except asyncio.TimeoutError:
-            pass
-
     async def _scheduler(self) -> None:
         cfg = self.config
-        assert self._shutdown_ev is not None
-        while not self._shutdown_ev.is_set():
-            if self.paused or self.store.queue_depth() == 0:
-                await self._sleep(cfg.poll_interval)
+        shutdown, wake = self._shutdown_ev, self._wake
+        while not shutdown.is_set():
+            # Clear before looking: a wake that lands after the check
+            # stays set, so the wait below cannot miss it.
+            wake.clear()
+            if self._paused or self.store.queue_depth() == 0:
+                await wake.wait()
                 continue
             # Coalescing window: give trickling submissions a moment
             # to merge into this batch before claiming.
             if cfg.batch_wait > 0 \
                     and self.store.queue_depth() < cfg.batch_max:
-                await self._sleep(cfg.batch_wait)
-                if self._shutdown_ev.is_set():
+                await asyncio.sleep(cfg.batch_wait)
+                if shutdown.is_set():
                     break
             jobs = self.store.claim(cfg.batch_max)
             if not jobs:
@@ -273,6 +296,7 @@ class ServiceServer:
                             "mode": "?", "attempts": 1, "elapsed": 0.0,
                             "traceback_tail": "",
                         }})
+                self._wake_waiters(j.id for j in jobs)
 
     def _execute_batch(self, jobs: list[Job]) -> None:
         """Worker-thread body: one ``run_batch`` for the claimed jobs."""
@@ -301,12 +325,14 @@ class ServiceServer:
 
         Runs on the batch thread.  One engine event fans out to every
         job that shares the digest (in-batch dedup means N submitted
-        jobs can ride one simulation).
+        jobs can ride one simulation).  Their long-polls are woken on
+        the loop thread; a requeued job's poll just re-reads ``queued``.
         """
         digest = ev.spec.digest()
         res = ev.result
         now = time.time()
-        for job in state.jobs_by_digest.get(digest, ()):
+        jobs = state.jobs_by_digest.get(digest, ())
+        for job in jobs:
             if isinstance(res, RunFailure):
                 if res.category == "cancelled":
                     # Drain: the run never started; hand the job back
@@ -330,6 +356,7 @@ class ServiceServer:
                         * 1000.0)
                     self.registry.histogram("service_job_run_ms").record(
                         max(0.0, now - job.started_at) * 1000.0)
+        self._call_soon(self._wake_waiters, [j.id for j in jobs])
 
     # -- HTTP plumbing -------------------------------------------------
     async def _handle_conn(self, reader: asyncio.StreamReader,
@@ -367,7 +394,12 @@ class ServiceServer:
                 break
             key, _, value = line.decode("latin-1").partition(":")
             headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        declared = headers.get("content-length") or "0"
+        if not declared.isdecimal():
+            await self._respond(writer, 400,
+                                {"error": "bad Content-Length header"})
+            return
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             await self._respond(writer, 413,
                                 {"error": "request body too large",
@@ -380,7 +412,7 @@ class ServiceServer:
         client = headers.get("x-repro-client") \
             or (f"{peer[0]}" if peer else "unknown")
         status, payload = await self._route(method, parts.path, query,
-                                            body, client, reader, writer)
+                                            body, client, reader)
         if status is not None:
             await self._respond(writer, status, payload)
 
@@ -408,8 +440,7 @@ class ServiceServer:
     # -- routing -------------------------------------------------------
     async def _route(self, method: str, path: str, query: dict,
                      body: bytes, client: str,
-                     reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter):
+                     reader: asyncio.StreamReader):
         if path == "/healthz" and method == "GET":
             return 200, self._healthz()
         if path == "/metrics" and method == "GET":
@@ -429,7 +460,7 @@ class ServiceServer:
             if tail == "cancel" and method == "POST":
                 return self._job_cancel(job_id)
             if tail == "wait" and method == "GET":
-                return await self._job_wait(job_id, query, reader, writer)
+                return await self._job_wait(job_id, query, reader)
         return (405 if path in ("/jobs", "/healthz", "/metrics")
                 else 404), {"error": f"no route for {method} {path}"}
 
@@ -493,9 +524,12 @@ class ServiceServer:
         try:
             payload = json.loads(body.decode() or "{}")
             spec_dict = payload["spec"]
-        except (ValueError, KeyError, UnicodeDecodeError):
-            return 400, {"error": "body must be JSON with a 'spec' key"}
+        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+            return 400, {"error": "body must be a JSON object with a "
+                                  "'spec' key"}
         client = payload.get("client") or client
+        if not isinstance(client, str):
+            return 400, {"error": "client must be a string"}
         # Admission control: shed load at the door.
         reason = self._admission_reason(client)
         if reason is not None:
@@ -518,11 +552,14 @@ class ServiceServer:
                                   "submit without 'trace'"}
         try:
             priority = int(payload.get("priority", 0))
-        except (TypeError, ValueError):
-            return 400, {"error": "priority must be an integer"}
+            if not -(1 << 63) <= priority < 1 << 63:  # SQLite INTEGER
+                raise OverflowError(priority)
+        except (TypeError, ValueError, OverflowError):
+            return 400, {"error": "priority must be a 64-bit integer"}
         job = self.store.submit(
             spec.to_dict(), spec.digest(), priority=priority,
             client=client, sanitize=bool(payload.get("sanitize", False)))
+        self._wake.set()
         with self._mlock:
             self.registry.counter("service_jobs_submitted_total").inc()
         return 202, {"job": job.to_dict()}
@@ -566,6 +603,7 @@ class ServiceServer:
         if job is None:
             return 404, {"error": f"unknown job {job_id!r}"}
         if self.store.cancel(job_id):
+            self._wake_waiters([job_id])
             with self._mlock:
                 self.registry.counter("service_jobs_cancelled_total") \
                     .inc()
@@ -579,14 +617,18 @@ class ServiceServer:
                      "state": state}
 
     async def _job_wait(self, job_id: str, query: dict,
-                        reader: asyncio.StreamReader,
-                        writer: asyncio.StreamWriter):
+                        reader: asyncio.StreamReader):
         """Long-poll: hold the connection until the job is terminal.
 
         Returns the job plus (when terminal) the same payload as
         ``/result``.  Bounded by ``?timeout=`` capped at
         ``config.wait_max``; a drain ends the poll early with the
         current state so clients fall back to reconnect-and-retry.
+
+        The poll parks on a per-job future that every path making the
+        job terminal resolves (persist, cancel, batch failure), as
+        does shutdown.  It is registered *before* the store is read,
+        so a transition after the read still finds it.
 
         A background one-byte read watches for the client hanging up
         mid-poll: a bare FIN only signals EOF (the transport stays
@@ -599,21 +641,26 @@ class ServiceServer:
         except ValueError:
             return 400, {"error": "timeout must be a number"}
         timeout = max(0.0, min(timeout, self.config.wait_max))
-        deadline = time.monotonic() + timeout
+        settled = asyncio.get_running_loop().create_future()
+        waiters = self._waiters.setdefault(job_id, set())
+        waiters.add(settled)
         gone = asyncio.ensure_future(reader.read(1))
         try:
-            while True:
+            job = self.store.get(job_id)
+            if job is None:
+                return 404, {"error": f"unknown job {job_id!r}"}
+            if not job.terminal and not self.draining:
+                await asyncio.wait((settled, gone), timeout=timeout,
+                                   return_when=asyncio.FIRST_COMPLETED)
                 job = self.store.get(job_id)
-                if job is None:
-                    return 404, {"error": f"unknown job {job_id!r}"}
-                if job.terminal:
-                    _status, payload = self._job_result(job_id)
-                    return 200, {"job": job.to_dict(),
-                                 "timed_out": False, "payload": payload}
-                if (time.monotonic() >= deadline or self.draining
-                        or writer.is_closing() or gone.done()):
-                    return 200, {"job": job.to_dict(), "timed_out": True,
-                                 "payload": None}
-                await self._sleep(self.config.wait_poll)
+            if job.terminal:
+                _status, payload = self._job_result(job_id)
+                return 200, {"job": job.to_dict(), "timed_out": False,
+                             "payload": payload}
+            return 200, {"job": job.to_dict(), "timed_out": True,
+                         "payload": None}
         finally:
             gone.cancel()
+            waiters.discard(settled)
+            if not waiters:
+                self._waiters.pop(job_id, None)

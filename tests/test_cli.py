@@ -181,7 +181,7 @@ class TestServiceCli:
         from repro.service import ServiceConfig, ServiceServer
         srv = ServiceServer(
             ServiceConfig(port=0, db_path=tmp_path / "jobs.sqlite",
-                          batch_wait=0.01, poll_interval=0.02),
+                          batch_wait=0.01),
             engine_opts={"jobs": 1, "cache": False})
         srv.start_in_thread()
         yield srv

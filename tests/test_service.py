@@ -45,7 +45,6 @@ def service(tmp_path, *, engine_opts=None, **overrides):
     overrides.setdefault("port", 0)
     overrides.setdefault("db_path", tmp_path / "jobs.sqlite")
     overrides.setdefault("batch_wait", 0.01)
-    overrides.setdefault("poll_interval", 0.02)
     cfg = ServiceConfig(**overrides)
     server = ServiceServer(
         cfg, engine_opts=engine_opts or {"jobs": 1, "cache": False})
@@ -61,6 +60,45 @@ def service(tmp_path, *, engine_opts=None, **overrides):
 
 def wait_done(client, job_ids, timeout=30.0):
     return {jid: client.wait(jid, timeout=timeout) for jid in job_ids}
+
+
+def raw_request(port, head: bytes, body: bytes = b""):
+    """Send bytes as-is; return (status, decoded JSON body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(head + body)
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+    head_part, _, payload = response.partition(b"\r\n\r\n")
+    return int(head_part.split()[1]), json.loads(payload)
+
+
+def count_calls(monkeypatch, store, *names):
+    """Count calls of the named store methods from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(store, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(store, name, counted)
+    return calls
+
+
+def park_wait(server, job_id, waits=1):
+    """Open a 30 s /wait on ``job_id`` in a thread; return the thread
+    and the dict its response lands in once the poll has parked."""
+    out = {}
+    poller = ServiceClient(port=server.port, timeout=10.0)
+    thread = threading.Thread(target=lambda: out.update(poller._checked(
+        "GET", f"/jobs/{job_id}/wait?timeout=30")), daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 10
+    while len(server._waiters.get(job_id, ())) < waits:
+        assert time.monotonic() < deadline, "long-poll never parked"
+        time.sleep(0.005)
+    return thread, out
 
 
 class TestRoundTrip:
@@ -187,8 +225,7 @@ class TestEndpoints:
                 parse_result(payload)
 
     def test_wait_times_out_while_paused(self, tmp_path):
-        with service(tmp_path, start_paused=True,
-                     wait_poll=0.01) as (_server, client):
+        with service(tmp_path, start_paused=True) as (_server, client):
             job = client.submit(spec())
             payload = client._checked(
                 "GET", f"/jobs/{job['id']}/wait?timeout=0.05")
@@ -197,6 +234,36 @@ class TestEndpoints:
             with pytest.raises(TimeoutError):
                 client.wait(job["id"], timeout=0.2)
             client.cancel(job["id"])
+
+
+class TestMalformedRequests:
+    """Each malformed request gets a 400 with a JSON ``error`` and never
+    kills the connection handler."""
+
+    CASES = {
+        "length-not-a-number": (b"abc", None),
+        "length-negative": (b"-5", None),
+        "body-not-an-object": (None, []),
+        "client-not-a-string": (None, {"client": [1]}),
+        "priority-out-of-range": (None, {"priority": 2 ** 70}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_with_400(self, tmp_path, caplog, case):
+        length, body = self.CASES[case]
+        if isinstance(body, dict):
+            body = {"spec": spec().to_dict(), **body}
+        data = json.dumps(body).encode() if body is not None else b""
+        length = length or str(len(data)).encode()
+        with service(tmp_path) as (server, client):
+            status, payload = raw_request(
+                server.port,
+                b"POST /jobs HTTP/1.1\r\nContent-Length: " + length
+                + b"\r\n\r\n", data)
+            assert status == 400
+            assert isinstance(payload["error"], str)
+            assert client.healthz()["jobs"]["queued"] == 0
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
 
 
 class TestAdmissionControl:
@@ -239,14 +306,10 @@ class TestAdmissionControl:
         """The body cap rejects on the declared Content-Length, before
         reading (or even receiving) a single payload byte."""
         with service(tmp_path) as (server, _client):
-            sock = socket.create_connection(("127.0.0.1", server.port))
-            sock.sendall(b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
-                         b"Content-Length: 2097152\r\n\r\n")
-            response = b""
-            while chunk := sock.recv(4096):
-                response += chunk
-            sock.close()
-            assert b"413" in response.split(b"\r\n", 1)[0]
+            status, _payload = raw_request(
+                server.port, b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                             b"Content-Length: 2097152\r\n\r\n")
+            assert status == 413
 
     def test_eight_concurrent_clients_with_rejections(self, tmp_path):
         """ISSUE acceptance: >=8 simultaneous clients submitting batches
@@ -380,8 +443,7 @@ class TestFailurePaths:
     def test_client_disconnect_mid_long_poll(self, tmp_path):
         """A client that vanishes while parked on /wait must not wedge
         the server or leak its handler task."""
-        with service(tmp_path, start_paused=True,
-                     wait_poll=0.01) as (server, client):
+        with service(tmp_path, start_paused=True) as (server, client):
             job = client.submit(spec())
             sock = socket.create_connection(("127.0.0.1", server.port))
             sock.sendall((f"GET /jobs/{job['id']}/wait?timeout=30 "
@@ -431,3 +493,70 @@ class TestFailurePaths:
         assert client.parse(clean) == Engine(jobs=1, cache=False) \
             .run_one(specs[2])
         assert json.loads(json.dumps(persistent)) == persistent
+
+
+class TestWakeups:
+    """The scheduler and long-polls sleep until something changes; no
+    loop re-reads the store on a timer."""
+
+    def test_idle_server_does_not_poll(self, tmp_path, monkeypatch):
+        with service(tmp_path) as (server, _client):
+            calls = count_calls(monkeypatch, server.store,
+                                "queue_depth", "get")
+            time.sleep(0.5)
+            seen = dict(calls)
+        assert seen["queue_depth"] <= 1 and seen["get"] == 0
+
+    def test_long_poll_on_paused_server_does_not_poll(self, tmp_path,
+                                                      monkeypatch):
+        with service(tmp_path, start_paused=True) as (server, client):
+            job = client.submit(spec())
+            calls = count_calls(monkeypatch, server.store,
+                                "queue_depth", "get")
+            payload = client._checked(
+                "GET", f"/jobs/{job['id']}/wait?timeout=0.5")
+            seen = dict(calls)
+        assert payload["timed_out"] is True
+        assert seen["queue_depth"] == 0 and seen["get"] <= 2
+
+    def test_submit_wakes_idle_scheduler(self, tmp_path):
+        with service(tmp_path) as (_server, client):
+            time.sleep(0.2)  # let the scheduler park: no timer wakes it
+            job = client.submit(spec())
+            assert client.wait(job["id"], timeout=30)["ok"] is True
+
+    def test_unpause_from_another_thread_starts_work(self, tmp_path):
+        with service(tmp_path, start_paused=True) as (server, client):
+            job = client.submit(spec())
+            flipper = threading.Thread(
+                target=setattr, args=(server, "paused", False))
+            flipper.start()
+            flipper.join(10)
+            assert not flipper.is_alive()
+            assert client.wait(job["id"], timeout=30)["ok"] is True
+
+    def test_cancel_ends_open_wait(self, tmp_path):
+        with service(tmp_path, start_paused=True) as (server, client):
+            job_id = client.submit(spec())["id"]
+            thread, out = park_wait(server, job_id)
+            client.cancel(job_id)
+            thread.join(10)
+            assert not thread.is_alive()
+        assert out["timed_out"] is False
+        assert out["job"]["state"] == "cancelled"
+        assert out["payload"]["cancelled"] is True
+
+    def test_shutdown_ends_every_open_wait(self, tmp_path):
+        with service(tmp_path, start_paused=True) as (server, client):
+            ids = [client.submit(s)["id"] for s in distinct_specs(2)]
+            polls = [park_wait(server, ids[0]), park_wait(server, ids[1]),
+                     park_wait(server, ids[1], waits=2)]
+            server.request_shutdown()
+            for thread, _out in polls:
+                thread.join(10)
+                assert not thread.is_alive()
+            server._thread.join(10)
+            assert not server._thread.is_alive()
+        for _thread, out in polls:
+            assert out["timed_out"] is True
+            assert out["job"]["state"] == "queued"
