@@ -42,6 +42,8 @@ def main(argv: list[str] | None = None) -> int:
     cfg = GPUConfig().scaled(num_clusters=1)
     modes = [
         unshared("lrr"),
+        unshared("gto"),
+        unshared("two_level"),
         shared(SharedResource.REGISTERS, "owf", unroll=True, dyn=True),
         shared(SharedResource.SCRATCHPAD, "owf"),
     ]

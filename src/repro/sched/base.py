@@ -1,135 +1,59 @@
-"""Scheduler interface and the sorted ready-warp container.
+"""Scheduler interface: one ``select`` per policy, shared by both cores.
 
 Each SM has ``num_schedulers`` scheduler instances (Table I: two); warps
 are statically partitioned by ``dynamic_id % num_schedulers``, mirroring
-GPGPU-Sim.  A scheduler owns the READY warps of its partition in a list
-kept sorted by dynamic id (launch age), which every policy is defined
-over: LRR rotates through it, GTO/OWF take the oldest, two-level walks it
-in fetch groups.
+GPGPU-Sim.  A scheduler owns its *static partition* ``warps`` — every
+resident warp of the partition, appended at launch and therefore in
+ascending ``dynamic_id`` (launch age) — plus ``n_ready``, the number of
+those warps in the READY state, which the SM keeps up to date on every
+state transition.
 
-``pick(cycle, issuable)`` returns a READY warp for which the
-``issuable`` predicate holds (the SM uses the predicate for same-cycle
-structural constraints such as the single LD/ST port), or None.
-``issuable=None`` means *every* ready warp is issuable — the common case
-(LD/ST port still free), which every policy short-circuits without any
-per-candidate predicate calls.  The SM then attempts the issue; if the
+Each policy is a single method, ``select(port_free)``.  It scans
+``warps`` in id order, keeps only warps whose ``state`` is READY and,
+when ``port_free`` is false (the SM's single LD/ST port already issued
+this cycle), drops warps whose next instruction uses the port.  Id
+order is the order every policy is defined over: LRR rotates through
+it, GTO/OWF take the oldest, two-level walks it in fetch groups.  The
+SM then attempts the issue and calls ``on_issued`` on success; if the
 warp turns out to be blocked (shared-pool lock, Dyn refusal, MSHR
-rejection) it leaves the ready list and ``pick`` is consulted again in
-the same cycle.
+rejection) it leaves READY and ``select`` is consulted again in the
+same cycle.  The fast and the reference SM core call the same
+``select``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Callable, Iterator, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.warp import WarpContext
 
-__all__ = ["SortedWarpList", "WarpScheduler", "make_scheduler", "SCHEDULERS"]
-
-
-class SortedWarpList:
-    """Warps kept sorted by ``dynamic_id`` with O(log n) add/remove."""
-
-    __slots__ = ("_ids", "_warps")
-
-    def __init__(self) -> None:
-        self._ids: list[int] = []
-        self._warps: list["WarpContext"] = []
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __iter__(self) -> Iterator["WarpContext"]:
-        return iter(self._warps)
-
-    def __contains__(self, warp: "WarpContext") -> bool:
-        i = bisect_left(self._ids, warp.dynamic_id)
-        return i < len(self._ids) and self._ids[i] == warp.dynamic_id
-
-    def add(self, warp: "WarpContext") -> None:
-        """Insert ``warp`` (ids are unique per SM; double-add is a bug)."""
-        i = bisect_left(self._ids, warp.dynamic_id)
-        if i < len(self._ids) and self._ids[i] == warp.dynamic_id:
-            raise ValueError("warp already in ready list")
-        self._ids.insert(i, warp.dynamic_id)
-        self._warps.insert(i, warp)
-
-    def discard(self, warp: "WarpContext") -> None:
-        """Remove ``warp`` if present."""
-        i = bisect_left(self._ids, warp.dynamic_id)
-        if i < len(self._ids) and self._ids[i] == warp.dynamic_id:
-            del self._ids[i]
-            del self._warps[i]
-
-    def iter_round_robin(self, after_id: int) -> Iterator["WarpContext"]:
-        """Iterate all warps starting just after ``after_id``, wrapping."""
-        i = bisect_right(self._ids, after_id)
-        yield from self._warps[i:]
-        yield from self._warps[:i]
-
-    def first(self) -> Optional["WarpContext"]:
-        """Lowest-id (oldest) warp, or None when empty."""
-        return self._warps[0] if self._warps else None
-
-    def first_after(self, after_id: int) -> Optional["WarpContext"]:
-        """First warp strictly after ``after_id``, wrapping; None if empty."""
-        if not self._warps:
-            return None
-        i = bisect_right(self._ids, after_id)
-        return self._warps[i] if i < len(self._warps) else self._warps[0]
+__all__ = ["WarpScheduler", "make_scheduler", "SCHEDULERS"]
 
 
 class WarpScheduler:
-    """Base class; subclasses implement :meth:`pick`.
-
-    Two views of the partition coexist:
-
-    ``ready``
-        The sorted READY-warp list every :meth:`pick` policy is defined
-        over.  The reference core maintains it on every state
-        transition.
-    ``warps`` / ``n_ready``
-        The *static* partition (all resident warps, appended in launch
-        order, i.e. ascending ``dynamic_id``) plus an O(1) READY count.
-        The fast core maintains only ``n_ready`` on state transitions
-        and evaluates the four built-in policies inline over ``warps``
-        (see ``SMCore.step``), skipping the sorted-list churn entirely;
-        the two formulations are proved pick-for-pick equivalent by the
-        differential golden suite.
-    """
+    """Base class; subclasses implement :meth:`select`."""
 
     name = "base"
 
     def __init__(self, sched_id: int, **_: object) -> None:
         self.sched_id = sched_id
-        self.ready = SortedWarpList()
         #: Static partition: every resident warp, ascending dynamic_id.
         self.warps: list["WarpContext"] = []
-        #: Number of READY warps in the partition (fast-core counter).
+        #: Number of READY warps in the partition.
         self.n_ready = 0
         self.last: Optional["WarpContext"] = None
 
-    # -- ready-list maintenance (driven by the SM) ---------------------
     def on_ready(self, warp: "WarpContext") -> None:
         """Register a newly launched (READY) warp with this scheduler."""
-        self.ready.add(warp)
         self.warps.append(warp)
         self.n_ready += 1
-
-    def on_unready(self, warp: "WarpContext") -> None:
-        self.ready.discard(warp)
-        self.n_ready -= 1
 
     def on_issued(self, warp: "WarpContext") -> None:
         self.last = warp
 
-    # -- policy ---------------------------------------------------------
-    def pick(self, cycle: int,
-             issuable: Optional[Callable[["WarpContext"], bool]] = None
-             ) -> Optional["WarpContext"]:
-        """Select a ready warp (``issuable=None`` → all are issuable)."""
+    def select(self, port_free: bool) -> Optional["WarpContext"]:
+        """Choose a READY warp (only non-port ones unless ``port_free``)."""
         raise NotImplementedError
 
 

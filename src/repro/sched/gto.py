@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.sched.base import SCHEDULERS, WarpScheduler
 from repro.sim.warp import WarpState
@@ -12,24 +12,21 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["GTOScheduler"]
 
+_READY = WarpState.READY
+
 
 class GTOScheduler(WarpScheduler):
     """GTO keeps issuing from one warp until it stalls, then the oldest."""
 
     name = "gto"
 
-    def pick(self, cycle: int,
-             issuable: Optional[Callable[["WarpContext"], bool]] = None
-             ) -> Optional["WarpContext"]:
+    def select(self, port_free: bool) -> Optional["WarpContext"]:
         last = self.last
-        if (last is not None and last.state is WarpState.READY
-                and last in self.ready
-                and (issuable is None or issuable(last))):
+        if (last is not None and last.state is _READY
+                and (port_free or not last.instr.uses_port)):
             return last
-        if issuable is None:
-            return self.ready.first()  # sorted by dynamic id == age
-        for w in self.ready:
-            if issuable(w):
+        for w in self.warps:  # ascending dynamic id == age
+            if w.state is _READY and (port_free or not w.instr.uses_port):
                 return w
         return None
 

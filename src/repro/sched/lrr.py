@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.sched.base import SCHEDULERS, WarpScheduler
+from repro.sim.warp import WarpState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.warp import WarpContext
 
 __all__ = ["LRRScheduler"]
+
+_READY = WarpState.READY
 
 
 class LRRScheduler(WarpScheduler):
@@ -21,18 +24,19 @@ class LRRScheduler(WarpScheduler):
         super().__init__(sched_id, **kw)
         self._after = -1
 
-    def pick(self, cycle: int,
-             issuable: Optional[Callable[["WarpContext"], bool]] = None
-             ) -> Optional["WarpContext"]:
-        if issuable is None:
-            return self.ready.first_after(self._after)
-        for w in self.ready.iter_round_robin(self._after):
-            if issuable(w):
-                return w
-        return None
+    def select(self, port_free: bool) -> Optional["WarpContext"]:
+        after = self._after
+        wrap = None  # oldest candidate, taken when none is after ``after``
+        for w in self.warps:
+            if w.state is _READY and (port_free or not w.instr.uses_port):
+                if w.dynamic_id > after:
+                    return w
+                if wrap is None:
+                    wrap = w
+        return wrap
 
     def on_issued(self, warp: "WarpContext") -> None:
-        super().on_issued(warp)
+        self.last = warp
         self._after = warp.dynamic_id
 
 

@@ -10,14 +10,14 @@ exist every warp is class 1 and OWF degenerates to exactly GTO — the
 paper leans on this for its Set-3 analysis ("Shared-OWF ... is similar
 to Unshared-GTO"), and our tests assert it cycle-for-cycle.
 
-Class membership is evaluated at pick time (ownership moves when locks
+Class membership is evaluated at select time (ownership moves when locks
 are acquired or a partner block completes), so no per-class containers
 are kept.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.sched.base import SCHEDULERS, WarpScheduler
 from repro.sim.warp import WarpState
@@ -27,45 +27,39 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["OWFScheduler"]
 
+_READY = WarpState.READY
+
 
 class OWFScheduler(WarpScheduler):
     """Owner > unshared > non-owner; greedy-then-oldest within a class."""
 
     name = "owf"
 
-    def pick(self, cycle: int,
-             issuable: Optional[Callable[["WarpContext"], bool]] = None
-             ) -> Optional["WarpContext"]:
+    def select(self, port_free: bool) -> Optional["WarpContext"]:
         best: Optional["WarpContext"] = None
         best_cls = 3
-        if issuable is None:
+        for w in self.warps:  # id order ⇒ first hit per class is oldest
+            if w.state is not _READY or (not port_free
+                                          and w.instr.uses_port):
+                continue
             # Inlined owf_class(): this loop runs for every ready warp
-            # on every pick of the paper's headline scheduler.
-            for w in self.ready:  # id order ⇒ first hit per class oldest
-                blk = w.block
-                pair = blk.pair
-                cls = 1 if pair is None else (
-                    0 if pair.owner_side() == blk.side else 2)
-                if cls < best_cls:
-                    best = w
-                    best_cls = cls
-                    if cls == 0:
-                        break
-        else:
-            for w in self.ready:
-                cls = w.owf_class()
-                if cls < best_cls and issuable(w):
-                    best = w
-                    best_cls = cls
-                    if cls == 0:
-                        break
+            # on every select of the paper's headline scheduler.
+            blk = w.block
+            pair = blk.pair
+            cls = 1 if pair is None else (
+                0 if pair.owner_side() == blk.side else 2)
+            if cls < best_cls:
+                best = w
+                best_cls = cls
+                if cls == 0:
+                    break
         if best is None:
             return None
         last = self.last
         if (last is not None and last is not best
-                and last.state is WarpState.READY and last in self.ready
+                and last.state is _READY
                 and last.owf_class() == best_cls
-                and (issuable is None or issuable(last))):
+                and (port_free or not last.instr.uses_port)):
             return last  # greedy stickiness within the winning class
         return best
 

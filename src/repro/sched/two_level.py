@@ -9,14 +9,17 @@ covered by the next group while the active one waits.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.sched.base import SCHEDULERS, WarpScheduler
+from repro.sim.warp import WarpState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.warp import WarpContext
 
 __all__ = ["TwoLevelScheduler"]
+
+_READY = WarpState.READY
 
 
 class TwoLevelScheduler(WarpScheduler):
@@ -33,41 +36,34 @@ class TwoLevelScheduler(WarpScheduler):
         self._active_group = 0
         self._after = -1
 
-    def _group_of(self, warp: "WarpContext") -> int:
-        return warp.dynamic_id // self.group_size
-
-    def pick(self, cycle: int,
-             issuable: Optional[Callable[["WarpContext"], bool]] = None
-             ) -> Optional["WarpContext"]:
-        ready = self.ready
-        if not len(ready):
-            return None
-        if issuable is None:
-            # Pass 1: round-robin inside the active group.
-            for w in ready.iter_round_robin(self._after):
-                if self._group_of(w) == self._active_group:
-                    return w
-            # Pass 2: no ready warp is in the active group, so the oldest
-            # ready warp is in another group — switch to it.
-            w = ready.first()
-            self._active_group = self._group_of(w)
-            return w
+    def select(self, port_free: bool) -> Optional["WarpContext"]:
+        gs = self.group_size
+        g = self._active_group
+        after = self._after
         # Pass 1: round-robin inside the active group.
-        for w in ready.iter_round_robin(self._after):
-            if self._group_of(w) == self._active_group and issuable(w):
-                return w
-        # Pass 2: switch to the first other group with an issuable warp
-        # (ordered by id, i.e. group age).
-        for w in ready:
-            if self._group_of(w) != self._active_group and issuable(w):
-                self._active_group = self._group_of(w)
+        wrap = None
+        for w in self.warps:
+            if (w.state is _READY and (port_free or not w.instr.uses_port)
+                    and w.dynamic_id // gs == g):
+                if w.dynamic_id > after:
+                    return w
+                if wrap is None:
+                    wrap = w
+        if wrap is not None:
+            return wrap
+        # Pass 2: nothing in the active group can issue, so the oldest
+        # candidate belongs to another group (ordered by id, i.e. group
+        # age) — switch to it.
+        for w in self.warps:
+            if w.state is _READY and (port_free or not w.instr.uses_port):
+                self._active_group = w.dynamic_id // gs
                 return w
         return None
 
     def on_issued(self, warp: "WarpContext") -> None:
-        super().on_issued(warp)
+        self.last = warp
         self._after = warp.dynamic_id
-        self._active_group = self._group_of(warp)
+        self._active_group = warp.dynamic_id // self.group_size
 
 
 SCHEDULERS["two_level"] = TwoLevelScheduler

@@ -4,10 +4,10 @@ Two interchangeable cores run the same machine model (see
 docs/performance.md):
 
 * the **fast core** (default) — event-driven ready sets: SMs whose
-  ready sets are empty are not stepped, scheduler picks skip predicate
-  calls while the LD/ST port is free, MSHR-rejected accesses replay in
-  O(1), and when no SM can issue the clock jumps to the next event in
-  one step while charging the skipped span to the same cycle taxonomy;
+  ready sets are empty are not stepped, MSHR-rejected accesses replay
+  in O(1), and when no SM can issue the clock jumps to the next event
+  in one step while charging the skipped span to the same cycle
+  taxonomy;
 * the **reference core** (``core="reference"`` or the
   ``REPRO_REFERENCE_CORE=1`` environment variable) — the original
   scan-every-warp loop, kept as the differential-testing oracle.
@@ -173,10 +173,10 @@ class GPU:
     def _run_fast(self, max_cycles: int) -> RunResult:
         """Event-driven ready-set loop (cycle-exact vs the reference).
 
-        Per cycle, only SMs whose ready sets are non-empty are stepped:
-        with empty ready lists every scheduler ``pick`` returns None, so
-        ``step`` could only have returned 0 without side effects — the
-        skip is exact.  Cycle accounting is unchanged (``classify`` is
+        Per cycle, only SMs with a READY warp are stepped: with none,
+        every scheduler's ``select`` would return None, so ``step``
+        could only have returned 0 without side effects — the skip is
+        exact.  Cycle accounting is unchanged (``classify`` is
         O(1) on the fast core), so when no SM can issue and the clock
         jumps to the next event, the skipped span is charged per SM to
         the same class the intervening cycles would have received.

@@ -1,14 +1,23 @@
 """Reference SM core: the original scan-based implementation.
 
 :class:`ReferenceSMCore` preserves the pre-optimisation hot path
-verbatim — per-candidate ``issuable`` predicate calls on every scheduler
-pick, ``op_group`` dictionary lookups, full re-coalescing and admission
-scans on every MSHR retry, and O(warps) ``classify``/``has_ready``
-scans.  It exists purely as the differential-testing oracle for the fast
-core (``REPRO_REFERENCE_CORE=1`` or ``GPU(core="reference")``): both
-cores must produce bit-identical :class:`RunResult`\\ s on every
+verbatim — closure-based timed wakes, ``op_group`` dictionary lookups,
+full re-coalescing and admission scans on every MSHR retry, and
+O(warps) ``classify``/``has_ready`` scans of the resident warps.  It
+inherits the fast core's ``_set_state``, which keeps ``n_ready`` and
+the category counters, but never reads them.  It exists purely as the
+differential-testing oracle for the fast core
+(``REPRO_REFERENCE_CORE=1`` or ``GPU(core="reference")``): both cores
+must produce bit-identical :class:`RunResult`\\ s on every
 configuration, which ``tests/test_core_equivalence.py`` asserts against
 committed golden fingerprints.
+
+Policy choice is the one thing it does not check independently: both
+cores call the same ``select`` of the scheduler (``repro.sched``).
+Policy semantics are pinned instead by ``golden_core.json``, captured
+from the core before it was split into fast and reference and covering
+all four schedulers, and by the unit tests in
+``tests/test_schedulers.py``.
 
 Do not optimise this module.  Its value is that it stays dumb.
 """
@@ -30,26 +39,6 @@ __all__ = ["ReferenceSMCore"]
 
 class ReferenceSMCore(SMCore):
     """SM core with the original (unoptimised) issue and scan logic."""
-
-    def _set_state(self, warp: WarpContext, state: WarpState) -> None:
-        """Original transition: maintain the sorted ready lists.
-
-        The reference ``pick`` implementations and :meth:`has_ready`
-        consume ``sched.ready``, which the fast core no longer updates
-        (it keeps only the ``n_ready`` counter); the per-category
-        counters are likewise unused on this core.
-        """
-        old = warp.state
-        if old is state:
-            return
-        if old is WarpState.READY:
-            warp.sched.ready.discard(warp)
-        elif state is WarpState.READY:
-            warp.sched.ready.add(warp)
-        warp.state = state
-        warp.wake_token += 1
-        if self._obs_on:
-            self.obs.warp_state(self.sm_id, warp, state, self.now)
 
     def _timed_wake(self, warp: WarpContext, at: int,
                     expected: WarpState) -> None:
@@ -75,14 +64,8 @@ class ReferenceSMCore(SMCore):
             self._timed_wake(warp, e, WarpState.BLOCK_SB)
 
     def has_ready(self) -> bool:
-        """True if any scheduler has a READY warp (scheduler scan)."""
-        return any(len(s.ready) for s in self.schedulers)
-
-    def _issuable(self, warp: WarpContext) -> bool:
-        g = _GROUP[warp.current_instr.op]
-        if g == "global" or g == "shared":
-            return self._mem_port_free
-        return True
+        """True if any resident warp is READY (scan, not ``n_ready``)."""
+        return any(w.state is WarpState.READY for w in self.warps)
 
     def step(self, cycle: int) -> int:
         """Run one SM cycle; returns instructions issued (0..2)."""
@@ -91,14 +74,14 @@ class ReferenceSMCore(SMCore):
         issued = 0
         for sched in self.schedulers:
             while True:
-                w = sched.pick(cycle, self._issuable)
+                w = sched.select(self._mem_port_free)
                 if w is None:
                     break
                 if self._try_issue(w, cycle, sched):
                     issued += 1
                     break
-                # otherwise the warp blocked and left the ready list;
-                # give the scheduler another chance this cycle.
+                # otherwise the warp blocked and left READY; give the
+                # scheduler another chance this cycle.
         return issued
 
     def classify(self) -> str:

@@ -19,7 +19,11 @@ more at completion:
   whose partner warp is still live (both sides initiating is exactly
   the barrier/lock cycle of the paper's deadlock example);
 * **cycle-taxonomy sums** — per SM, active+stall+idle+empty cycles
-  equal the global cycle count (including bulk idle skips).
+  equal the global cycle count (including bulk idle skips);
+* **scheduler partitions** — each scheduler's ``n_ready`` equals a
+  recount of the READY warps in its partition ``warps``, and the
+  partition is in strictly ascending ``dynamic_id`` order (the fast
+  core's issue loop and every policy's ``select`` trust both).
 
 At completion, additionally:
 
@@ -36,6 +40,8 @@ always execute.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
+
+from repro.sim.warp import WarpState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.gpu import GPU
@@ -76,14 +82,15 @@ class Sanitizer:
     # ------------------------------------------------------------------
     def check(self, gpu: "GPU", cycle: int) -> None:
         """Validate the mid-run invariants; raise on any violation."""
-        violations = self._cycle_sums(gpu, cycle) + self._lock_state(gpu)
+        violations = (self._cycle_sums(gpu, cycle) + self._lock_state(gpu)
+                      + self._partitions(gpu))
         self.checks += 1
         self._raise(violations, cycle)
 
     def final(self, gpu: "GPU", cycle: int) -> None:
         """Completion checks: mid-run invariants + conservation."""
         violations = (self._cycle_sums(gpu, cycle) + self._lock_state(gpu)
-                      + self._conservation(gpu))
+                      + self._partitions(gpu) + self._conservation(gpu))
         self._raise(violations, cycle)
 
     # ------------------------------------------------------------------
@@ -104,6 +111,21 @@ class Sanitizer:
                 v += [f"pair {i}: {msg}" for msg in pair.reg_group.audit()]
             if pair.spad_group is not None:
                 v += [f"pair {i}: {msg}" for msg in pair.spad_group.audit()]
+        return v
+
+    def _partitions(self, gpu: "GPU") -> list[str]:
+        v = []
+        for sm in gpu.sms:
+            for sched in sm.schedulers:
+                where = f"SM{sm.sm_id} scheduler {sched.sched_id}"
+                n = sum(w.state is WarpState.READY for w in sched.warps)
+                if n != sched.n_ready:
+                    v.append(f"{where}: n_ready is {sched.n_ready}, "
+                             f"partition holds {n} READY warps")
+                ids = [w.dynamic_id for w in sched.warps]
+                if any(a >= b for a, b in zip(ids, ids[1:])):
+                    v.append(f"{where}: partition not in ascending "
+                             f"dynamic_id order: {ids}")
         return v
 
     def _conservation(self, gpu: "GPU") -> list[str]:

@@ -72,15 +72,6 @@ _BLOCK_RETRY = WarpState.BLOCK_RETRY
 _BLOCK_BAR = WarpState.BLOCK_BAR
 _BLOCK_MEM = WarpState.BLOCK_MEM
 
-#: Issue predicate used when the LD/ST port is taken: only non-memory
-#: instructions may still issue this cycle.
-_NON_MEM = (lambda w: not w.instr.uses_port)
-
-#: Scheduling policies the fast core evaluates inline in :meth:`SMCore.step`
-#: (over the static partition + READY states, no sorted-list upkeep).
-#: Anything else uses the generic ``pick`` protocol over ``sched.ready``.
-_PICK_IDS = {"lrr": 0, "gto": 1, "two_level": 2, "owf": 3}
-
 
 @dataclass(frozen=True)
 class SharingRuntime:
@@ -132,11 +123,6 @@ class SMCore:
                            fetch_group_size=config.fetch_group_size)
             for i in range(config.num_schedulers)
         ]
-        #: Policy id for the fused issue loop in :meth:`step`; -1 falls
-        #: back to the generic ``pick`` protocol (externally registered
-        #: policies), which needs the sorted ready lists maintained.
-        self._pid = _PICK_IDS.get(scheduler, -1)
-        self._generic = self._pid < 0
         self.stats = SMStats(sm_id=sm_id)
         self.warps: list[WarpContext] = []
         self.resident_blocks = 0
@@ -180,31 +166,20 @@ class SMCore:
         if self.resident_blocks > self.stats.max_resident_blocks:
             self.stats.max_resident_blocks = self.resident_blocks
 
-    def _sched_of(self, warp: WarpContext) -> WarpScheduler:
-        return warp.sched
-
     # ------------------------------------------------------------------
     # state transitions
     # ------------------------------------------------------------------
     def _set_state(self, warp: WarpContext, state: WarpState) -> None:
-        # Runs twice per state round-trip of every issue and retry.  The
-        # fast core only maintains the O(1) ``n_ready`` counter; the
-        # sorted ready lists are bypassed entirely (the fused ``step``
-        # evaluates the built-in policies over the static partition) —
-        # except for externally registered policies, whose ``pick``
-        # still consumes ``sched.ready``.
+        # Runs twice per state round-trip of every issue and retry:
+        # O(1) upkeep of the scheduler's READY count and the per-SM
+        # category counters, nothing else.
         old = warp.state
         if old is state:
             return
-        sched = warp.sched
         if old is _READY:
-            sched.n_ready -= 1
-            if self._generic:
-                sched.ready.discard(warp)
+            warp.sched.n_ready -= 1
         elif state is _READY:
-            sched.n_ready += 1
-            if self._generic:
-                sched.ready.add(warp)
+            warp.sched.n_ready += 1
         c = self._cat_n
         c[_CAT[old]] -= 1
         c[_CAT[state]] += 1
@@ -273,121 +248,20 @@ class SMCore:
         """True if any scheduler has a READY warp."""
         return self._cat_n[0] > 0
 
-    def _issuable(self, warp: WarpContext) -> bool:
-        if warp.instr.uses_port:
-            return self._mem_port_free
-        return True
-
     def step(self, cycle: int) -> int:
         """Run one SM cycle; returns instructions issued (0..2).
 
-        The four built-in policies are evaluated inline over each
-        scheduler's static partition (``sched.warps``, ascending
-        ``dynamic_id``) instead of through ``pick`` over the sorted
-        ready list.  A linear scan filtered on ``state is READY``
-        visits exactly the ready warps in id order, so each inline
-        loop is the policy's definition with the container swapped —
-        pick-for-pick equivalence is asserted by the differential
-        golden suite against the reference core, which still runs the
-        original ``pick`` implementations.
+        ``n_ready`` gates each scheduler, so a partition with no READY
+        warp costs no scan; after a memory issue the scheduler is asked
+        only for warps that do not need the LD/ST port.
         """
         self.now = cycle
         port_free = True
         self._mem_port_free = True
         issued = 0
-        pid = self._pid
         for sched in self.schedulers:
             while sched.n_ready:
-                warps = sched.warps
-                w = None
-                if pid == 3:  # OWF: owner > unshared > non-owner, sticky
-                    best_cls = 3
-                    for c in warps:
-                        if c.state is not _READY or not (
-                                port_free or not c.instr.uses_port):
-                            continue
-                        blk = c.block
-                        pair = blk.pair
-                        cls = 1 if pair is None else (
-                            0 if pair.owner_side() == blk.side else 2)
-                        if cls < best_cls:
-                            w = c
-                            best_cls = cls
-                            if cls == 0:
-                                break
-                    if w is not None:
-                        last = sched.last
-                        if (last is not None and last is not w
-                                and last.state is _READY
-                                and last.owf_class() == best_cls
-                                and (port_free
-                                     or not last.instr.uses_port)):
-                            w = last  # greedy within the winning class
-                elif pid == 0:  # LRR: resume after the last issued id
-                    after = sched._after
-                    wrap = None
-                    for c in warps:
-                        if c.state is not _READY or not (
-                                port_free or not c.instr.uses_port):
-                            continue
-                        if c.dynamic_id > after:
-                            w = c
-                            break
-                        if wrap is None:
-                            wrap = c
-                    if w is None:
-                        w = wrap
-                elif pid == 1:  # GTO: sticky last, else oldest ready
-                    last = sched.last
-                    if (last is not None and last.state is _READY
-                            and (port_free or not last.instr.uses_port)):
-                        w = last
-                    else:
-                        for c in warps:
-                            if c.state is _READY and (
-                                    port_free or not c.instr.uses_port):
-                                w = c
-                                break
-                elif pid == 2:  # two-level: fetch-group round robin
-                    gs = sched.group_size
-                    g = sched._active_group
-                    after = sched._after
-                    wrap = None
-                    for c in warps:
-                        if c.state is not _READY or not (
-                                port_free or not c.instr.uses_port):
-                            continue
-                        if c.dynamic_id // gs != g:
-                            continue
-                        if c.dynamic_id > after:
-                            w = c
-                            break
-                        if wrap is None:
-                            wrap = c
-                    if w is None:
-                        w = wrap
-                    if w is None:
-                        # No issuable warp in the active group: switch
-                        # to the oldest issuable warp of another group.
-                        if port_free:
-                            for c in warps:
-                                if c.state is _READY:
-                                    w = c
-                                    sched._active_group = (
-                                        c.dynamic_id // gs)
-                                    break
-                        else:
-                            for c in warps:
-                                if (c.state is _READY
-                                        and not c.instr.uses_port
-                                        and c.dynamic_id // gs != g):
-                                    w = c
-                                    sched._active_group = (
-                                        c.dynamic_id // gs)
-                                    break
-                else:  # externally registered policy: generic protocol
-                    w = sched.pick(cycle,
-                                   None if port_free else _NON_MEM)
+                w = sched.select(port_free)
                 if w is None:
                     break
                 if self._try_issue(w, cycle, sched):
@@ -573,20 +447,7 @@ class SMCore:
             stats.issued_unshared += 1
         else:
             stats.issued_nonowner += 1
-        # sched.on_issued(warp) inlined per policy (one call per issue);
-        # externally registered policies keep the virtual call.
-        pid = self._pid
-        if pid == 1 or pid == 3:        # gto / owf: greedy stickiness
-            sched.last = warp
-        elif pid == 0:                  # lrr: rotate past this warp
-            sched.last = warp
-            sched._after = warp.dynamic_id
-        elif pid == 2:                  # two-level
-            sched.last = warp
-            sched._after = warp.dynamic_id
-            sched._active_group = warp.dynamic_id // sched.group_size
-        else:
-            sched.on_issued(warp)
+        sched.on_issued(warp)
 
         if grp == "exit":
             self._finish_warp(warp, cycle)

@@ -97,6 +97,26 @@ class TestSanitizedRuns:
         assert gpu.sanitizer.retired_issued > 0
 
 
+@pytest.mark.parametrize("core", ["fast", "reference"])
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda sched: setattr(sched, "n_ready", sched.n_ready + 1), "n_ready is"),
+    (lambda sched: sched.warps.reverse(), "ascending"),
+], ids=["n_ready", "order"])
+def test_corrupted_partition_detected(monkeypatch, core, corrupt, message):
+    """The sanitizer audits what every ``select`` and the issue loop trust."""
+    clean = Sanitizer.check
+
+    def check(self, gpu, cycle):
+        if self.checks == 2:  # corrupt mid-run, after two clean checks
+            corrupt(gpu.sms[0].schedulers[0])
+        clean(self, gpu, cycle)
+
+    monkeypatch.setattr(Sanitizer, "check", check)
+    with pytest.raises(SanitizerViolation, match=message):
+        run(APPS["gaussian"], unshared("lrr"), sanitize=True, core=core,
+            **FAST)
+
+
 class TestEngineSanitizerPath:
     def _spec(self):
         return RunSpec.create(APPS["gaussian"], unshared("lrr"), **FAST)

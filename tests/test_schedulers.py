@@ -1,66 +1,56 @@
 """Warp scheduling policies (unit level, with minimal stub warps)."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
-from repro.sched.base import SCHEDULERS, SortedWarpList, make_scheduler
-from repro.sim.warp import WarpState
+from repro.sched.base import SCHEDULERS, make_scheduler
+from repro.sim.warp import WarpContext, WarpState
+
+
+class StubPair:
+    """A sharing pair whose owner is side 0."""
+
+    def owner_side(self):
+        return 0
+
+
+PAIR = StubPair()
 
 
 class StubWarp:
-    """Minimal stand-in carrying just what schedulers consume."""
+    """Minimal stand-in carrying just what schedulers consume.
 
-    def __init__(self, dynamic_id, cls=1):
+    ``cls`` is the OWF class (0 owner, 1 unshared, 2 non-owner), encoded
+    the way the simulator does: through ``block.pair`` and
+    ``block.side``.  ``port`` marks a next instruction that needs the
+    LD/ST port.
+    """
+
+    owf_class = WarpContext.owf_class
+
+    def __init__(self, dynamic_id, cls=1, port=False):
         self.dynamic_id = dynamic_id
         self.state = WarpState.READY
-        self._cls = cls
-
-    def owf_class(self):
-        return self._cls
+        self.instr = SimpleNamespace(uses_port=port)
+        self.block = SimpleNamespace(pair=None if cls == 1 else PAIR,
+                                     side=1 if cls == 2 else 0)
 
     def __repr__(self):
         return f"W{self.dynamic_id}"
 
 
-def always(_w):
-    return True
+def scheduler(name, warps, **kw):
+    """A scheduler whose partition holds ``warps`` (ascending ids)."""
+    s = make_scheduler(name, 0, **kw)
+    for w in warps:
+        s.on_ready(w)
+    return s
 
 
-class TestSortedWarpList:
-    def test_sorted_insertion(self):
-        lst = SortedWarpList()
-        for i in (5, 1, 3):
-            lst.add(StubWarp(i))
-        assert [w.dynamic_id for w in lst] == [1, 3, 5]
-
-    def test_duplicate_rejected(self):
-        lst = SortedWarpList()
-        w = StubWarp(1)
-        lst.add(w)
-        with pytest.raises(ValueError):
-            lst.add(StubWarp(1))
-
-    def test_discard(self):
-        lst = SortedWarpList()
-        w = StubWarp(1)
-        lst.add(w)
-        lst.discard(w)
-        assert len(lst) == 0
-        lst.discard(w)  # idempotent
-
-    def test_contains(self):
-        lst = SortedWarpList()
-        w = StubWarp(4)
-        assert w not in lst
-        lst.add(w)
-        assert w in lst
-
-    def test_round_robin_iteration(self):
-        lst = SortedWarpList()
-        for i in range(4):
-            lst.add(StubWarp(i))
-        assert [w.dynamic_id for w in lst.iter_round_robin(1)] == [2, 3, 0, 1]
-        assert [w.dynamic_id for w in lst.iter_round_robin(-1)] == [0, 1, 2, 3]
-        assert [w.dynamic_id for w in lst.iter_round_robin(99)] == [0, 1, 2, 3]
+def block(w):
+    w.state = WarpState.BLOCK_MEM
 
 
 class TestFactory:
@@ -74,85 +64,68 @@ class TestFactory:
 
 class TestLRR:
     def test_rotates(self):
-        s = make_scheduler("lrr", 0)
-        ws = [StubWarp(i) for i in range(3)]
-        for w in ws:
-            s.on_ready(w)
+        s = scheduler("lrr", [StubWarp(i) for i in range(3)])
         picked = []
         for _ in range(6):
-            w = s.pick(0, always)
+            w = s.select(True)
             picked.append(w.dynamic_id)
             s.on_issued(w)
         assert picked == [0, 1, 2, 0, 1, 2]
 
     def test_skips_unissuable(self):
-        s = make_scheduler("lrr", 0)
-        ws = [StubWarp(i) for i in range(3)]
-        for w in ws:
-            s.on_ready(w)
-        assert s.pick(0, lambda w: w.dynamic_id == 2).dynamic_id == 2
+        ws = [StubWarp(0, port=True), StubWarp(1, port=True), StubWarp(2)]
+        s = scheduler("lrr", ws)
+        assert s.select(False) is ws[2]
 
     def test_none_when_empty(self):
-        assert make_scheduler("lrr", 0).pick(0, always) is None
+        assert make_scheduler("lrr", 0).select(True) is None
 
 
 class TestGTO:
     def test_greedy_sticks_with_last(self):
-        s = make_scheduler("gto", 0)
-        ws = [StubWarp(i) for i in range(3)]
-        for w in ws:
-            s.on_ready(w)
-        w = s.pick(0, always)
+        s = scheduler("gto", [StubWarp(i) for i in range(3)])
+        w = s.select(True)
         assert w.dynamic_id == 0  # oldest first
         s.on_issued(w)
-        assert s.pick(1, always) is w  # greedy
+        assert s.select(True) is w  # greedy
 
     def test_falls_back_to_oldest(self):
-        s = make_scheduler("gto", 0)
         ws = [StubWarp(i) for i in range(3)]
-        for w in ws:
-            s.on_ready(w)
+        s = scheduler("gto", ws)
         s.on_issued(ws[0])
-        ws[0].state = WarpState.BLOCK_MEM
-        s.on_unready(ws[0])
-        assert s.pick(1, always) is ws[1]
+        block(ws[0])
+        assert s.select(True) is ws[1]
 
     def test_ignores_unissuable_last(self):
-        s = make_scheduler("gto", 0)
-        ws = [StubWarp(i) for i in range(2)]
-        for w in ws:
-            s.on_ready(w)
+        ws = [StubWarp(0, port=True), StubWarp(1)]
+        s = scheduler("gto", ws)
         s.on_issued(ws[0])
-        assert s.pick(0, lambda w: w is not ws[0]) is ws[1]
+        assert s.select(False) is ws[1]
 
 
 class TestTwoLevel:
     def test_stays_in_active_group(self):
-        s = make_scheduler("two_level", 0, fetch_group_size=2)
-        ws = [StubWarp(i) for i in range(4)]  # groups {0,1}, {2,3}
-        for w in ws:
-            s.on_ready(w)
+        s = scheduler("two_level", [StubWarp(i) for i in range(4)],
+                      fetch_group_size=2)  # groups {0,1}, {2,3}
         picked = []
         for _ in range(4):
-            w = s.pick(0, always)
+            w = s.select(True)
             picked.append(w.dynamic_id)
             s.on_issued(w)
-        assert set(picked) == {0, 1}  # round robin inside group 0
+        assert picked == [0, 1, 0, 1]  # round robin inside group 0
 
     def test_switches_group_when_active_stalls(self):
-        s = make_scheduler("two_level", 0, fetch_group_size=2)
         ws = [StubWarp(i) for i in range(4)]
-        for w in ws:
-            s.on_ready(w)
-        s.on_issued(s.pick(0, always))
+        s = scheduler("two_level", ws, fetch_group_size=2)
+        s.on_issued(s.select(True))
         for w in ws[:2]:
-            w.state = WarpState.BLOCK_MEM
-            s.on_unready(w)
-        w = s.pick(1, always)
-        assert w.dynamic_id in (2, 3)
+            block(w)
+        w = s.select(True)
+        assert w is ws[2]  # oldest warp of the next group
         s.on_issued(w)
-        # now sticks with group 1
-        assert s.pick(2, always).dynamic_id in (2, 3)
+        ws[0].state = WarpState.READY
+        # now sticks with group 1 although group 0 is ready again
+        assert s.select(True) is ws[3]
 
     def test_group_size_validation(self):
         with pytest.raises(ValueError):
@@ -161,78 +134,113 @@ class TestTwoLevel:
 
 class TestOWF:
     def test_class_priority(self):
-        s = make_scheduler("owf", 0)
-        owner = StubWarp(5, cls=0)
-        unshared = StubWarp(1, cls=1)
         nonowner = StubWarp(0, cls=2)
-        for w in (owner, unshared, nonowner):
-            s.on_ready(w)
-        assert s.pick(0, always) is owner
+        unshared = StubWarp(1, cls=1)
+        owner = StubWarp(5, cls=0)
+        s = scheduler("owf", [nonowner, unshared, owner])
+        assert s.select(True) is owner
 
     def test_unshared_beats_nonowner(self):
-        s = make_scheduler("owf", 0)
-        unshared = StubWarp(9, cls=1)
         nonowner = StubWarp(0, cls=2)
-        s.on_ready(unshared)
-        s.on_ready(nonowner)
-        assert s.pick(0, always) is unshared
+        unshared = StubWarp(9, cls=1)
+        s = scheduler("owf", [nonowner, unshared])
+        assert s.select(True) is unshared
 
     def test_nonowner_used_as_last_resort(self):
-        s = make_scheduler("owf", 0)
         nonowner = StubWarp(0, cls=2)
-        s.on_ready(nonowner)
-        assert s.pick(0, always) is nonowner
+        s = scheduler("owf", [nonowner])
+        assert s.select(True) is nonowner
 
     def test_oldest_within_class(self):
-        s = make_scheduler("owf", 0)
-        for i in (4, 2, 7):
-            s.on_ready(StubWarp(i, cls=1))
-        assert s.pick(0, always).dynamic_id == 2
+        ws = [StubWarp(0, cls=2)] + [StubWarp(i, cls=1) for i in (2, 4, 7)]
+        s = scheduler("owf", ws)
+        assert s.select(True).dynamic_id == 2
 
     def test_greedy_within_class(self):
-        s = make_scheduler("owf", 0)
         a, b = StubWarp(1, cls=1), StubWarp(2, cls=1)
-        s.on_ready(a)
-        s.on_ready(b)
+        s = scheduler("owf", [a, b])
         s.on_issued(b)
-        assert s.pick(0, always) is b  # sticks with last, same class
+        assert s.select(True) is b  # sticks with last, same class
 
     def test_greedy_never_crosses_class(self):
-        s = make_scheduler("owf", 0)
         last = StubWarp(2, cls=1)
         owner = StubWarp(5, cls=0)
-        s.on_ready(last)
-        s.on_ready(owner)
+        s = scheduler("owf", [last, owner])
         s.on_issued(last)
-        assert s.pick(0, always) is owner
+        assert s.select(True) is owner
 
     def test_equals_gto_when_all_unshared(self):
-        owf = make_scheduler("owf", 0)
-        gto = make_scheduler("gto", 0)
-        ws_o = [StubWarp(i, cls=1) for i in range(6)]
-        ws_g = [StubWarp(i, cls=1) for i in range(6)]
-        for a, b in zip(ws_o, ws_g):
-            owf.on_ready(a)
-            gto.on_ready(b)
-        import random
+        ws_o = [StubWarp(i, cls=1, port=i % 3 == 0) for i in range(6)]
+        ws_g = [StubWarp(i, cls=1, port=i % 3 == 0) for i in range(6)]
+        owf = scheduler("owf", ws_o)
+        gto = scheduler("gto", ws_g)
         rng = random.Random(7)
-        for step in range(200):
-            po = owf.pick(step, always)
-            pg = gto.pick(step, always)
+        for _ in range(200):
+            port_free = rng.random() < 0.7
+            po = owf.select(port_free)
+            pg = gto.select(port_free)
             assert (po.dynamic_id if po else None) == \
                 (pg.dynamic_id if pg else None)
             if po is None:
                 for a, b in zip(ws_o, ws_g):
-                    if a.state is not WarpState.READY:
-                        a.state = WarpState.READY
-                        b.state = WarpState.READY
-                        owf.on_ready(a)
-                        gto.on_ready(b)
+                    a.state = b.state = WarpState.READY
                 continue
             owf.on_issued(po)
             gto.on_issued(pg)
             if rng.random() < 0.4:  # randomly block the issued warp
-                po.state = WarpState.BLOCK_MEM
-                owf.on_unready(po)
-                pg.state = WarpState.BLOCK_MEM
-                gto.on_unready(pg)
+                block(po)
+                block(pg)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+class TestPortTaken:
+    """``select(False)``: the LD/ST port already issued this cycle."""
+
+    def test_never_returns_port_user(self, name):
+        rng = random.Random(name)
+        ws = [StubWarp(i, cls=i % 3, port=i % 2 == 0) for i in range(12)]
+        s = scheduler(name, ws, fetch_group_size=4)
+        for _ in range(200):
+            for w in ws:
+                w.state = (WarpState.READY if rng.random() < 0.5
+                           else WarpState.BLOCK_MEM)
+            w = s.select(False)
+            if w is None:
+                assert all(c.state is not WarpState.READY
+                           or c.instr.uses_port for c in ws)
+            else:
+                assert w.state is WarpState.READY
+                assert not w.instr.uses_port
+                s.on_issued(w)
+
+    def test_none_when_only_port_users_ready(self, name):
+        ws = [StubWarp(0, port=True), StubWarp(1), StubWarp(2, port=True)]
+        s = scheduler(name, ws, fetch_group_size=2)
+        block(ws[1])
+        assert s.select(False) is None
+        assert s.select(True) is not None
+
+    def test_stickiness_skips_port_using_last(self, name):
+        ws = [StubWarp(0), StubWarp(1), StubWarp(2)]
+        s = scheduler(name, ws, fetch_group_size=4)
+        s.on_issued(ws[1])
+        ws[1].instr.uses_port = True
+        w = s.select(False)
+        assert w is not None and w is not ws[1]
+        if name in ("gto", "owf"):
+            assert w is ws[0]               # the oldest candidate instead
+            assert s.select(True) is ws[1]  # greedy once the port frees
+
+    def test_group_switch_only_to_non_port_warp(self, name):
+        # groups {0,1}, {2,3}, {4,5}: group 0 blocked, group 1 needs
+        # the port, so a port-taken switch must skip to group 2.
+        ws = [StubWarp(0), StubWarp(1), StubWarp(2, port=True),
+              StubWarp(3, port=True), StubWarp(4, port=True), StubWarp(5)]
+        s = scheduler(name, ws, fetch_group_size=2)
+        s.on_issued(ws[0])
+        block(ws[0])
+        block(ws[1])
+        assert s.select(False) is ws[5]
+        if name == "two_level":
+            assert s._active_group == 2
+            assert s.select(True) is ws[4]  # stays in the new group
