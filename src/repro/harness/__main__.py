@@ -20,10 +20,10 @@ import sys
 import time
 
 from repro.config import GPUConfig
+from repro.harness.cli import add_engine_args, engine_kwargs, positive_int
 from repro.harness.engine import Engine
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.report import bar_chart, render_experiment
-from repro.harness.resilience import RetryPolicy
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -41,21 +41,9 @@ def main(argv: list[str] | None = None) -> int:
                         "end-of-grid tail effects)")
     p.add_argument("--chart", metavar="COLUMN", default=None,
                    help="also render an ASCII bar chart of COLUMN")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="simulation worker processes (default: "
-                        "$REPRO_JOBS or CPU count; 1 = in-process)")
-    p.add_argument("--cache-dir", default=None,
-                   help="result-cache directory (default: $REPRO_CACHE_DIR "
-                        "or ~/.cache/repro)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the on-disk result cache")
-    p.add_argument("--max-cycles", type=int, default=None,
+    add_engine_args(p)
+    p.add_argument("--max-cycles", type=positive_int, default=None,
                    help="override the per-run simulation cycle limit")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-run wall-clock budget in seconds (hung "
-                        "workers are killed and recorded as timeouts)")
-    p.add_argument("--retries", type=int, default=None,
-                   help="max attempts for transient failures (default 3)")
     p.add_argument("--fail-fast", action="store_true",
                    help="abort on the first failure instead of isolating "
                         "it into an annotated FAIL cell")
@@ -85,11 +73,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     cfg = GPUConfig().scaled(num_clusters=args.clusters)
-    retry = RetryPolicy(max_attempts=max(1, args.retries)) \
-        if args.retries is not None else None
-    engine = Engine(jobs=args.jobs, cache=not args.no_cache,
-                    cache_dir=args.cache_dir, timeout=args.timeout,
-                    retry=retry, fail_fast=args.fail_fast,
+    engine = Engine(**engine_kwargs(args), fail_fast=args.fail_fast,
                     sanitize=args.sanitize or None,
                     max_cycles=args.max_cycles,
                     metrics=args.metrics, trace_dir=args.trace)

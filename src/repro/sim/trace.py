@@ -1,20 +1,18 @@
 """Issue-trace recording for debugging and teaching.
 
-Wraps an :class:`~repro.sim.gpu.GPU` so that every instruction issue is
-recorded as a :class:`TraceEvent`.  The recorder hooks the SMs'
-``_try_issue`` non-invasively (the hot path stays untouched when tracing
-is off) and offers simple queries plus a compact textual timeline —
-useful for demonstrating, e.g., exactly when a non-owner warp blocks on
-a shared pool and when the handoff wakes it.
+:class:`TraceRecorder` is an :class:`~repro.obs.sink.ObsSink` that keeps
+every instruction issue as a :class:`TraceEvent` and offers simple
+queries plus a compact textual timeline — useful for demonstrating,
+e.g., exactly when a non-owner warp blocks on a shared pool and when
+the handoff wakes it.  Attach it like any other sink (``obs=``); the
+hot path stays untouched when no sink is enabled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.gpu import GPU
-from repro.sim.sm import SMCore
-from repro.sim.stats import RunResult
+from repro.obs.sink import ObsSink
 from repro.sim.warp import WarpContext
 
 __all__ = ["TraceEvent", "TraceRecorder"]
@@ -34,71 +32,40 @@ class TraceEvent:
     warp_class: int
 
 
-class TraceRecorder:
+class TraceRecorder(ObsSink):
     """Record every issue of a GPU run.
 
     Usage::
 
-        gpu = GPU(kernel, cfg, plan=plan)
-        trace = TraceRecorder(gpu)
-        result = trace.run()
+        trace = TraceRecorder()
+        result = GPU(kernel, cfg, plan=plan, obs=trace).run()
         print(trace.timeline(sm=0, first=40))
+
+    or ``runner.run(app, mode, obs=trace)``.  Simulated behaviour is
+    identical with or without the recorder.
     """
 
-    def __init__(self, gpu: GPU, *, max_events: int = 1_000_000) -> None:
-        self.gpu = gpu
+    enabled = True
+
+    def __init__(self, *, max_events: int = 1_000_000) -> None:
         self.events: list[TraceEvent] = []
         self.max_events = max_events
-        self._truncated = False
-        for sm in gpu.sms:
-            self._hook(sm)
+        #: True if the event cap was hit (the log is a prefix).
+        self.truncated = False
 
-    def _hook(self, sm: SMCore) -> None:
-        original = sm._try_issue
-
-        def traced(warp: WarpContext, cycle: int, sched) -> bool:
-            # class and block must be sampled before the issue: an EXIT
-            # can complete the block and detach its pair.
-            cls = warp.owf_class() if warp.block.pair is not None else 1
-            block_id = warp.block.linear_id
-            ok = original(warp, cycle, sched)
-            if ok:
-                if len(self.events) < self.max_events:
-                    self.events.append(TraceEvent(
-                        cycle=cycle, sm=sm.sm_id, warp=warp.dynamic_id,
-                        block=block_id, slot=warp.slot,
-                        op=self._last_op(warp), warp_class=cls))
-                else:
-                    self._truncated = True
-            return ok
-
-        sm._try_issue = traced  # type: ignore[method-assign]
-
-    @staticmethod
-    def _last_op(warp: WarpContext) -> str:
-        # after a successful issue the pointer moved; for EXIT it did not.
-        from repro.sim.warp import WarpState
-        if warp.state is WarpState.FINISHED:
-            return "EXIT"
-        seg, rep, pc = warp.trace_position
-        k = warp.kernel
-        # step back one instruction
-        if pc > 0:
-            return k.segments[seg].instrs[pc - 1].op.name
-        if rep > 0 or seg == 0:
-            s = k.segments[seg if rep > 0 else max(seg - 1, 0)]
-            return s.instrs[-1].op.name
-        return k.segments[seg - 1].instrs[-1].op.name
-
-    # ------------------------------------------------------------------
-    def run(self, **kw) -> RunResult:
-        """Run the wrapped GPU and return its result."""
-        return self.gpu.run(**kw)
-
-    @property
-    def truncated(self) -> bool:
-        """True if the event cap was hit (trace is a prefix)."""
-        return self._truncated
+    def issued(self, sm_id: int, sched_id: int, warp: WarpContext,
+               cycle: int) -> None:
+        # Both cores call this after the instruction's side effects but
+        # before advance() / _finish_warp, so ``warp.instr`` is the
+        # issued instruction and the block still holds its pair.
+        if len(self.events) >= self.max_events:
+            self.truncated = True
+            return
+        block = warp.block
+        self.events.append(TraceEvent(
+            cycle=cycle, sm=sm_id, warp=warp.dynamic_id,
+            block=block.linear_id, slot=warp.slot, op=warp.instr.op.name,
+            warp_class=warp.owf_class() if block.pair is not None else 1))
 
     # ------------------------------------------------------------------
     def for_sm(self, sm: int) -> list[TraceEvent]:

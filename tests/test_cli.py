@@ -4,6 +4,7 @@ import pytest
 
 from repro.__main__ import main as repro_main
 from repro.harness.__main__ import main as harness_main
+from repro.harness.resilience import RetryPolicy
 
 
 class TestReproCli:
@@ -125,21 +126,81 @@ class TestTraceCli:
         assert "OWN" in out or "NON" in out
 
     def test_trace_early_release_mode(self, capsys, monkeypatch):
-        # regression: trace used to drop mode.early_release when building
-        # the GPU, silently tracing plain sharing instead
-        import repro.sim.gpu as gpu_mod
-        seen = {}
-        real_gpu = gpu_mod.GPU
+        # regression: trace used to drop mode.early_release, silently
+        # tracing plain sharing instead
+        import repro.harness.runner as runner
+        results = []
+        real_run = runner.run
 
-        def spy(*args, **kwargs):
-            seen.update(kwargs)
-            return real_gpu(*args, **kwargs)
+        def recording_run(*args, **kwargs):
+            results.append(real_run(*args, **kwargs))
+            return results[-1]
 
-        monkeypatch.setattr(gpu_mod, "GPU", spy)
-        assert repro_main(["trace", "hotspot", "--mode", "shared-reg-er",
-                           "--first", "5"]) == 0
-        assert seen.get("early_release") is True
+        monkeypatch.setattr(runner, "run", recording_run)
+        for mode in ("shared-reg-er", "shared-reg"):
+            assert repro_main(["trace", "hotspot", "--mode", mode,
+                               "--first", "5"]) == 0
         assert "IPC" in capsys.readouterr().out
+        releases = [sum(s.early_releases for s in r.sm_stats)
+                    for r in results]
+        assert releases == [48, 0]
+
+
+#: (module holding ``_dispatch``, argv prefix) per CLI that takes the
+#: shared engine flags.
+ENGINE_CLIS = {
+    "run": ("repro.__main__", ["run", "gaussian"]),
+    "serve": ("repro.__main__", ["serve"]),
+    "harness": ("repro.harness.__main__", ["fig8c"]),
+}
+BAD_ENGINE_FLAGS = [
+    (cli, flag, value) for cli in ENGINE_CLIS
+    for flag, value in [("--jobs", "-3"), ("--jobs", "0"), ("--jobs", "two"),
+                        ("--retries", "-2"), ("--timeout", "-1"),
+                        ("--timeout", "0"), ("--timeout", "nan"),
+                        ("--timeout", "inf")]
+] + [("run", "--max-cycles", "-5"), ("harness", "--max-cycles", "0")]
+
+
+class TestEngineFlags:
+    """The engine flags every CLI shares: same defaults, same checks."""
+
+    def _parse(self, monkeypatch, cli, *extra):
+        import importlib
+        module, prefix = ENGINE_CLIS[cli]
+        parsed = []
+        monkeypatch.setattr(importlib.import_module(module), "_dispatch",
+                            parsed.append)
+        main = harness_main if cli == "harness" else repro_main
+        main([*prefix, *extra])
+        return parsed[0]
+
+    @pytest.mark.parametrize("cli,flag,value", BAD_ENGINE_FLAGS)
+    def test_bad_value_exits_2_before_running(self, monkeypatch, capsys,
+                                              cli, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            self._parse(monkeypatch, cli, flag, value)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra,want", [
+        ([], (None, None, False, None, None)),
+        (["--jobs", "2", "--cache-dir", "d", "--no-cache", "--timeout",
+          "1.5", "--retries", "4"], (2, "d", True, 1.5, 4)),
+    ])
+    def test_shared_flags_parse_identically(self, monkeypatch, extra,
+                                            want):
+        from repro.harness.cli import engine_kwargs
+        jobs, cache_dir, no_cache, timeout, retries = want
+        for cli in ENGINE_CLIS:
+            a = self._parse(monkeypatch, cli, *extra)
+            assert (a.jobs, a.cache_dir, a.no_cache, a.timeout,
+                    a.retries) == want, cli
+            assert engine_kwargs(a) == {
+                "jobs": jobs, "cache": not no_cache, "cache_dir": cache_dir,
+                "timeout": timeout,
+                "retry": (None if retries is None
+                          else RetryPolicy(max_attempts=retries))}, cli
 
 
 class TestJsonOutput:

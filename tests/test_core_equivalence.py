@@ -11,7 +11,8 @@ two implementations cannot drift jointly either.
 
 The full matrix (56 cells × 2 cores) runs in ``test_no_drift_*``; a
 smaller slice re-runs under ``sanitize=True`` to prove the fast core
-upholds the DESIGN.md §6 invariants, not just the final counters.
+upholds the DESIGN.md §6 invariants, not just the final counters, and
+another is traced on both cores to pin the issue order itself.
 """
 
 import json
@@ -22,6 +23,7 @@ from repro.harness.golden import (CORE_APPS, check_core_goldens,
                                   core_config, core_key,
                                   core_matrix, golden_core_path)
 from repro.harness.runner import run
+from repro.sim.trace import TraceRecorder
 from repro.workloads.apps import APPS
 
 
@@ -73,6 +75,36 @@ class TestSanitized:
             assert res.to_dict() == want[core_key(app, mode)], \
                 f"{core} core diverged under sanitizer on " \
                 f"{core_key(app, mode)}"
+
+
+def _issue_order_slice():
+    """First matrix cell of each scheduler × sharing-resource pair."""
+    seen = {}
+    for app, mode in core_matrix():
+        seen.setdefault((mode.scheduler, mode.sharing), (app, mode))
+    return list(seen.values())
+
+
+class TestIssueOrder:
+    """Both cores issue the same instructions in the same order, not
+    just to the same aggregate fingerprints: one traced cell per
+    scheduler × sharing resource, issue logs compared event by event."""
+
+    def test_slice_covers_every_scheduler_and_resource(self):
+        assert len(_issue_order_slice()) == 4 * 3
+
+    @pytest.mark.parametrize("app,mode", _issue_order_slice(),
+                             ids=lambda c: getattr(c, "label", c))
+    def test_issue_logs_identical(self, app, mode):
+        logs = []
+        for core in ("fast", "reference"):
+            tr = TraceRecorder()
+            res = run(APPS[app], mode, config=core_config(),
+                      scale=CORE_APPS[app], waves=1.0, core=core, obs=tr)
+            assert len(tr.events) == res.instructions
+            logs.append(tr.events)
+        assert logs[0] == logs[1], \
+            f"issue order diverged on {core_key(app, mode)}"
 
 
 class TestCoreSelection:
