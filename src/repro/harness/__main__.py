@@ -5,12 +5,19 @@ Examples::
     python -m repro.harness fig8c
     python -m repro.harness table5 --clusters 14 --scale 2 --waves 4
     python -m repro.harness all --jobs 8
+    python -m repro.harness claims --jobs 2
 
 Runs execute through the shared engine: ``--jobs N`` simulates in N
 worker processes (results are bit-identical to ``--jobs 1``), and the
 content-addressed result cache (``--cache-dir``, ``--no-cache``) makes
 repeat invocations — e.g. re-rendering ``all`` after a report tweak —
 skip every already-simulated configuration.  See docs/engine.md.
+
+Under each table the paper's claims on that experiment are printed as
+``claim PASS|FAIL|XFAIL|XPASS: <text>`` lines (``repro.harness.claims``).
+``claims`` runs every experiment like ``all`` and then exits 1 if any
+claim FAILs or XPASSes; the defaults are the setting the shape claims
+were written against (4 clusters, scale 0.7, 6 grid waves).
 """
 
 from __future__ import annotations
@@ -18,8 +25,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 
 from repro.config import GPUConfig
+from repro.harness.claims import VERDICTS, evaluate
 from repro.harness.cli import add_engine_args, engine_kwargs, positive_int
 from repro.harness.engine import Engine
 from repro.harness.experiments import EXPERIMENTS, run_experiment
@@ -30,12 +39,14 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(
         prog="python -m repro.harness",
         description="Reproduce a paper table/figure.")
-    p.add_argument("experiment",
-                   help=f"experiment id or 'all' ({', '.join(sorted(EXPERIMENTS))})")
+    ids = [*sorted(EXPERIMENTS), "all", "claims"]
+    p.add_argument("experiment", choices=ids, metavar="experiment",
+                   help=f"experiment id, 'all' or 'claims' "
+                        f"({', '.join(ids)})")
     p.add_argument("--clusters", type=int, default=4,
                    help="SM clusters to simulate (paper: 14; default 4)")
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="kernel loop-count scale factor")
+    p.add_argument("--scale", type=float, default=0.7,
+                   help="kernel loop-count scale factor (default 0.7)")
     p.add_argument("--waves", type=float, default=6.0,
                    help="grid waves per SM (short grids inflate "
                         "end-of-grid tail effects)")
@@ -77,8 +88,9 @@ def _dispatch(args: argparse.Namespace) -> int:
                     sanitize=args.sanitize or None,
                     max_cycles=args.max_cycles,
                     metrics=args.metrics, trace_dir=args.trace)
-    ids = sorted(EXPERIMENTS) if args.experiment == "all" \
+    ids = sorted(EXPERIMENTS) if args.experiment in ("all", "claims") \
         else [args.experiment]
+    verdicts: Counter[str] = Counter()
     for exp_id in ids:
         t0 = time.perf_counter()
         sims0, hits0 = engine.stats.sims, engine.stats.hits
@@ -93,6 +105,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             label = res.columns[0]
             print(bar_chart(res.rows, label, args.chart))
             print()
+        for claim, verdict in evaluate(exp_id, res.rows):
+            verdicts[verdict] += 1
+            print(claim.line(verdict))
         footer = (f"[{exp_id}: {dt:.1f}s | {sims} sims, {hits} cache hits, "
                   f"jobs {engine.jobs}")
         if engine.stats.failures:
@@ -106,6 +121,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         for f in engine.failures[nfail0:]:
             print(f"  FAILED: {f.describe()}", file=sys.stderr)
         print()
+    if args.experiment == "claims":
+        print("claims: " + ", ".join(f"{verdicts[v]} {v}" for v in VERDICTS))
+        if verdicts["FAIL"] or verdicts["XPASS"]:
+            return 1
     return 1 if engine.failures else 0
 
 

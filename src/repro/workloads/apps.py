@@ -7,10 +7,12 @@ synthetic stand-ins tuned to the behaviour class the paper describes for
 each app — see DESIGN.md §2 for the substitution argument.
 
 The ``paper`` dict on each app records the numbers the paper reports
-(baseline/shared resident blocks, Fig. 8 IPC improvement) for the
-EXPERIMENTS.md comparison.  Where the paper's prose and figures disagree
-(CONV1/CONV2 and SRAD2 percentages are quoted differently in Sec. VI-B),
-the Fig. 8 values are stored.
+(baseline/shared resident blocks, Fig. 8 IPC improvement, the Table
+VI/VIII resident blocks at 0/10/30/50/70/90 % sharing, the Sec. I-A
+waste examples).  It is the one copy of them: EXPERIMENTS.md and the
+claims in ``repro.harness.claims`` read it.  Where the paper's prose
+and figures disagree (CONV1/CONV2 and SRAD2 percentages are quoted
+differently in Sec. VI-B), the Fig. 8 values are stored.
 """
 
 from __future__ import annotations
@@ -336,49 +338,64 @@ def _register(app: App) -> None:
 for _app in [
     App("backprop", "GPGPU-Sim", 1, "registers", _backprop,
         paper={"blocks_base": 5, "blocks_shared": 6, "fig8_impr": 5.82,
-               "ipc_0": 389.9, "ipc_90": 392.8}),
+               "ipc_0": 389.9, "ipc_90": 392.8,
+               "blocks_sweep": (5, 5, 5, 5, 6, 6)}),
     App("b+tree", "GPGPU-Sim", 1, "registers", _btree,
         paper={"blocks_base": 2, "blocks_shared": 3, "fig8_impr": 11.98,
-               "ipc_0": 318.5, "ipc_90": 326.1}),
+               "ipc_0": 318.5, "ipc_90": 326.1,
+               "blocks_sweep": (2, 2, 2, 3, 3, 3)}),
     App("hotspot", "RODINIA", 1, "registers", _hotspot,
         paper={"blocks_base": 3, "blocks_shared": 6, "fig8_impr": 21.76,
-               "ipc_0": 489.5, "ipc_90": 503.59}),
+               "ipc_0": 489.5, "ipc_90": 503.59, "reg_waste_pct": 15.62,
+               "blocks_sweep": (3, 3, 3, 4, 4, 6)}),
     App("LIB", "RODINIA", 1, "registers", _lib,
         paper={"blocks_base": 4, "blocks_shared": 8, "fig8_impr": 0.84,
-               "ipc_0": 218.0, "ipc_90": 223.3}),
+               "ipc_0": 218.0, "ipc_90": 223.3,
+               "blocks_sweep": (4, 4, 5, 5, 6, 8)}),
     App("MUM", "RODINIA", 1, "registers", _mum,
         paper={"blocks_base": 4, "blocks_shared": 6, "fig8_impr": 24.14,
-               "ipc_0": 190.5, "ipc_90": 194.9}),
+               "ipc_0": 190.5, "ipc_90": 194.9,
+               "blocks_sweep": (4, 4, 4, 5, 5, 6)}),
     App("mri-q", "PARBOIL", 1, "registers", _mriq,
         paper={"blocks_base": 5, "blocks_shared": 6, "fig8_impr": -0.72,
-               "ipc_0": 303.7, "ipc_90": 305.0}),
+               "ipc_0": 303.7, "ipc_90": 305.0,
+               "blocks_sweep": (5, 5, 5, 5, 6, 6)}),
     App("sgemm", "PARBOIL", 1, "registers", _sgemm,
         paper={"blocks_base": 5, "blocks_shared": 8, "fig8_impr": 4.06,
-               "ipc_0": 490.6, "ipc_90": 496.7}),
+               "ipc_0": 490.6, "ipc_90": 496.7,
+               "blocks_sweep": (5, 5, 5, 5, 6, 8)}),
     App("stencil", "PARBOIL", 1, "registers", _stencil,
         paper={"blocks_base": 2, "blocks_shared": 3, "fig8_impr": 23.45,
-               "ipc_0": 448.2, "ipc_90": 440.8}),
+               "ipc_0": 448.2, "ipc_90": 440.8,
+               "blocks_sweep": (2, 2, 2, 2, 2, 3)}),
     App("CONV1", "CUDA-SDK", 2, "scratchpad", _conv1,
         paper={"blocks_base": 6, "blocks_shared": 8, "fig8_impr": 15.85,
-               "ipc_0": 280.33, "ipc_90": 292.24}),
+               "ipc_0": 280.33, "ipc_90": 292.24,
+               "blocks_sweep": (6, 6, 6, 6, 7, 8)}),
     App("CONV2", "CUDA-SDK", 2, "scratchpad", _conv2,
         paper={"blocks_base": 3, "blocks_shared": 4, "fig8_impr": 4.33,
-               "ipc_0": 119.29, "ipc_90": 124.6}),
+               "ipc_0": 119.29, "ipc_90": 124.6,
+               "blocks_sweep": (3, 3, 3, 3, 3, 4)}),
     App("lavaMD", "RODINIA", 2, "scratchpad", _lavamd,
         paper={"blocks_base": 2, "blocks_shared": 4, "fig8_impr": 29.96,
-               "ipc_0": 452.29, "ipc_90": 578.85}),
+               "ipc_0": 452.29, "ipc_90": 578.85, "smem_waste_pct": 12.11,
+               "blocks_sweep": (2, 2, 2, 2, 2, 4)}),
     App("NW1", "RODINIA", 2, "scratchpad", _nw(1),
         paper={"blocks_base": 7, "blocks_shared": 8, "fig8_impr": 5.62,
-               "ipc_0": 39.96, "ipc_90": 38.37}),
+               "ipc_0": 39.96, "ipc_90": 38.37,
+               "blocks_sweep": (7, 7, 7, 8, 8, 8)}),
     App("NW2", "RODINIA", 2, "scratchpad", _nw(2),
         paper={"blocks_base": 7, "blocks_shared": 8, "fig8_impr": 9.03,
-               "ipc_0": 41.93, "ipc_90": 39.72}),
+               "ipc_0": 41.93, "ipc_90": 39.72,
+               "blocks_sweep": (7, 7, 7, 8, 8, 8)}),
     App("SRAD1", "RODINIA", 2, "scratchpad", _srad1,
         paper={"blocks_base": 2, "blocks_shared": 4, "fig8_impr": 11.1,
-               "ipc_0": 188.13, "ipc_90": 204.32}),
+               "ipc_0": 188.13, "ipc_90": 204.32,
+               "blocks_sweep": (2, 2, 2, 3, 4, 4)}),
     App("SRAD2", "RODINIA", 2, "scratchpad", _srad2,
         paper={"blocks_base": 3, "blocks_shared": 5, "fig8_impr": 25.73,
-               "ipc_0": 63.48, "ipc_90": 68.29}),
+               "ipc_0": 63.48, "ipc_90": 68.29,
+               "blocks_sweep": (3, 3, 3, 3, 3, 5)}),
     App("backprop-lf", "RODINIA", 3, "threads", _backprop_lf,
         paper={"limited_by": "Threads"}),
     App("BFS", "GPGPU-Sim", 3, "threads", _bfs,

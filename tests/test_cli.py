@@ -80,9 +80,14 @@ class TestHarnessCli:
         out = capsys.readouterr().out
         assert "hotspot" in out
 
-    def test_unknown_experiment(self):
-        with pytest.raises(ValueError):
+    def test_unknown_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             harness_main(["fig99"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'fig99'" in err
+        for valid in ("'fig8c'", "'all'", "'claims'"):
+            assert valid in err
 
     def test_stats_footer(self, capsys):
         assert harness_main(["fig8c", "--clusters", "1", "--scale", "0.15",

@@ -1,7 +1,6 @@
-"""The EXPERIMENTS.md tooling in scripts/ (log parsing and splicing)."""
+"""The EXPERIMENTS.md tooling in scripts/ (log parsing)."""
 
 import importlib.util
-import sys
 from pathlib import Path
 
 
@@ -16,7 +15,6 @@ def _load(name):
 
 
 build_mod = _load("build_experiments_md")
-splice_mod = _load("splice_bench_sections")
 
 HARNESS_LOG = """== Fig 1: resident thread blocks and resource waste ==
 app       blocks
@@ -31,21 +29,8 @@ app      0%  90%
 -------  --  ---
 hotspot  3   6
 
+claim PASS: resident blocks equal the paper's table, every entry
 [table6: 1.5s]
-"""
-
-BENCH_LOG = """
-== Fig 8(c): % IPC improvement, register sharing (X vs Y) ==
-app      improvement_pct
--------  ---------------
-hotspot  16.52
-.
-== Table VII: IPC vs % scratchpad sharing ==
-app     0%    90%
-------  ----  ----
-lavaMD  5.00  7.00
-.
-===== 24 passed =====
 """
 
 
@@ -82,44 +67,8 @@ class TestBuildExperimentsMd:
         assert "## fig1 — Fig 1: resident thread blocks" in out
         assert "regenerated in 0s" in out
 
-
-class TestSpliceBenchSections:
-    def test_section_regex_finds_bench_tables(self):
-        found = {m.group("title")
-                 for m in splice_mod.SECTION_RE.finditer(BENCH_LOG)}
-        assert any(t.startswith("Fig 8(c)") for t in found)
-        assert any(t.startswith("Table VII") for t in found)
-
-    def test_title_map_covers_all_paper_artifacts(self):
-        ids = set(splice_mod.TITLE_TO_ID.values())
-        for want in ("fig8c", "fig9d", "fig12b", "table5", "table8",
-                     "hw_overhead"):
-            assert want in ids
-
-    def test_main_emits_harness_format(self, tmp_path, capsys, monkeypatch):
-        f = tmp_path / "bench.txt"
-        f.write_text(BENCH_LOG)
-        monkeypatch.setattr(sys, "argv",
-                            ["splice", str(f), "fig8c", "table7"])
-        assert splice_mod.main() == 0
-        out = capsys.readouterr().out
-        assert "[fig8c: 0.0s]" in out
-        assert "[table7: 0.0s]" in out
-        # spliced output round-trips through the builder
-        built = build_mod.build(out, "s")
-        assert "## fig8c" in built and "## table7" in built
-
-    def test_missing_ids_reported_on_stderr(self, tmp_path, capsys,
-                                            monkeypatch):
-        f = tmp_path / "bench.txt"
-        f.write_text(BENCH_LOG)
-        monkeypatch.setattr(sys, "argv", ["splice", str(f), "fig9a"])
-        assert splice_mod.main() == 0
-        err = capsys.readouterr().err
-        assert "fig9a" in err
-
-    def test_pytest_dots_not_swallowed(self):
-        # the '.' progress line after a section must terminate its body
-        m = next(splice_mod.SECTION_RE.finditer(BENCH_LOG))
-        assert "passed" not in m.group("body")
-        assert m.group("body").strip().endswith("16.52")
+    def test_claim_lines_carried_into_section(self):
+        out = build_mod.build(HARNESS_LOG, "s")
+        table6 = out[out.index("## table6"):]
+        assert "claim PASS: resident blocks equal the paper's table" in \
+            table6
