@@ -14,13 +14,24 @@ whole simulator runs on a single core-clock domain (see DESIGN.md §4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 __all__ = ["GDDRTimings", "LatencyConfig", "GPUConfig", "WARP_SIZE"]
 
 #: Number of threads in a warp (fixed across all NVIDIA generations the
 #: paper considers; baked into the block→warp partitioning logic).
 WARP_SIZE = 32
+
+
+def _require_counts(obj: object, skip: tuple[str, ...] = ()) -> None:
+    """Every field of ``obj`` not in ``skip`` is an ``int`` (not a
+    ``bool``) of at least 1: all of them are counts, sizes or latencies."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.name not in skip and (not isinstance(v, int)
+                                   or isinstance(v, bool) or v < 1):
+            raise ValueError(f"{type(obj).__name__}.{f.name} must be an "
+                             f"int >= 1, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +61,9 @@ class GDDRTimings:
     tCDLR: int = 5
     burst: int = 4
 
+    def __post_init__(self) -> None:
+        _require_counts(self)
+
 
 @dataclass(frozen=True)
 class LatencyConfig:
@@ -72,6 +86,9 @@ class LatencyConfig:
     dram_clock_ratio: int = 2
     #: Fixed DRAM controller front-end latency (queue entry etc.).
     dram_fixed: int = 20
+
+    def __post_init__(self) -> None:
+        _require_counts(self)
 
 
 @dataclass(frozen=True)
@@ -112,8 +129,11 @@ class GPUConfig:
     fetch_group_size: int = 8
 
     def __post_init__(self) -> None:
-        if self.num_clusters < 1 or self.cores_per_cluster < 1:
-            raise ValueError("need at least one SM")
+        _require_counts(self, skip=("timings", "latency"))
+        if not isinstance(self.timings, GDDRTimings):
+            raise ValueError("timings must be a GDDRTimings")
+        if not isinstance(self.latency, LatencyConfig):
+            raise ValueError("latency must be a LatencyConfig")
         if self.max_threads_per_sm % WARP_SIZE:
             raise ValueError("max_threads_per_sm must be a warp multiple")
         if self.line_size & (self.line_size - 1):
@@ -124,8 +144,6 @@ class GPUConfig:
         ):
             if size % (assoc * self.line_size):
                 raise ValueError(f"{what} size not divisible by assoc*line")
-        if self.num_mem_partitions < 1 or self.banks_per_partition < 1:
-            raise ValueError("need at least one DRAM partition and bank")
 
     @property
     def num_sms(self) -> int:

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -66,11 +67,12 @@ from repro.harness.resilience import (RetryPolicy, RunCancelled,
 from repro.harness.runner import Mode, run
 from repro.isa.kernel import Kernel
 from repro.obs import NULL_SINK, Observer
+from repro.sched import SCHEDULERS
 from repro.sim.stats import RunResult
 from repro.workloads.apps import APPS, App
 
 __all__ = ["RunSpec", "Engine", "EngineStats", "RunEvent", "ResultCache",
-           "RunFailure", "RetryPolicy", "kernel_fingerprint", "code_salt",
+           "RunFailure", "RetryPolicy", "code_salt",
            "default_engine"]
 
 #: Bump when the cache entry layout changes (independent of code salt).
@@ -104,20 +106,6 @@ def code_salt() -> str:
     return h.hexdigest()[:16]
 
 
-def kernel_fingerprint(kernel: Kernel) -> str:
-    """Content hash of a built kernel (resources + instruction stream)."""
-    h = hashlib.sha256()
-    h.update(repr((kernel.name, kernel.threads_per_block,
-                   kernel.regs_per_thread, kernel.smem_per_block,
-                   kernel.grid_blocks, kernel.seed,
-                   kernel.work_variance)).encode())
-    for seg in kernel.segments:
-        h.update(f"|x{seg.repeat}|".encode())
-        for ins in seg.instrs:
-            h.update(repr(ins).encode())
-    return h.hexdigest()[:16]
-
-
 def _mode_to_dict(mode: Mode) -> dict:
     return {
         "label": mode.label,
@@ -133,6 +121,14 @@ def _mode_to_dict(mode: Mode) -> dict:
 def _mode_from_dict(d: dict) -> Mode:
     sharing = SharedResource(d["sharing"]) if d["sharing"] is not None \
         else None
+    _require(isinstance(d["label"], str), "mode.label must be a string")
+    _require(isinstance(d["scheduler"], str)
+             and d["scheduler"] in SCHEDULERS,
+             f"mode.scheduler must be one of {sorted(SCHEDULERS)}")
+    _require(_is_real(d["t"]) and 0 <= d["t"] <= 1,
+             "mode.t must be a number in [0, 1]")
+    for flag in ("unroll", "dyn", "early_release"):
+        _require(isinstance(d[flag], bool), f"mode.{flag} must be a bool")
     return Mode(label=d["label"], scheduler=d["scheduler"], sharing=sharing,
                 t=d["t"], unroll=d["unroll"], dyn=d["dyn"],
                 early_release=d["early_release"])
@@ -143,6 +139,29 @@ def _config_from_dict(d: dict) -> GPUConfig:
     d["timings"] = GDDRTimings(**d["timings"])
     d["latency"] = LatencyConfig(**d["latency"])
     return GPUConfig(**d)
+
+
+@lru_cache(maxsize=64)
+def _config_dict(config: GPUConfig) -> dict:
+    """``asdict(config)``, computed once per distinct config.  Shared:
+    never mutate it (:meth:`RunSpec.to_dict` hands out copies)."""
+    return asdict(config)
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _is_real(v: object) -> bool:
+    """A finite int or float (``bool`` excluded)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and math.isfinite(v)
+
+
+def _is_count(v: object) -> bool:
+    """An int of at least 1 (``bool`` excluded)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
 @dataclass(frozen=True)
@@ -190,7 +209,7 @@ class RunSpec:
             name = target.name if APPS.get(target.name) is target else None
         else:
             kernel, name = target, None
-        return cls(app=name, kernel_fp=kernel_fingerprint(kernel),
+        return cls(app=name, kernel_fp=kernel.fingerprint,
                    mode=mode, config=config, scale=scale, waves=waves,
                    grid_blocks=grid_blocks, max_cycles=max_cycles,
                    trace=trace, metrics=metrics,
@@ -199,11 +218,16 @@ class RunSpec:
     def to_dict(self) -> dict:
         """JSON-serializable form (the ad-hoc kernel payload is reduced
         to its fingerprint)."""
+        config = {k: dict(v) if isinstance(v, dict) else v
+                  for k, v in _config_dict(self.config).items()}
+        return self._as_dict(config)
+
+    def _as_dict(self, config: dict) -> dict:
         return {
             "app": self.app,
             "kernel_fp": self.kernel_fp,
             "mode": _mode_to_dict(self.mode),
-            "config": asdict(self.config),
+            "config": config,
             "scale": self.scale,
             "waves": self.waves,
             "grid_blocks": self.grid_blocks,
@@ -218,20 +242,36 @@ class RunSpec:
 
         Only registry-app specs can be fully reconstructed; ad-hoc
         kernel specs keep their identity (digest) but not the kernel
-        payload, so they cannot be re-executed from JSON.
+        payload, so they cannot be re-executed from JSON.  A value of
+        the wrong type or range raises ``ValueError``, so a malformed
+        spec is refused here rather than failing inside the simulator.
         """
+        _require(d["app"] is None or isinstance(d["app"], str),
+                 "app must be a string or null")
+        _require(isinstance(d["kernel_fp"], str),
+                 "kernel_fp must be a string")
+        for key in ("scale", "waves"):
+            _require(_is_real(d[key]) and d[key] > 0,
+                     f"{key} must be a finite number > 0")
+        _require(d["grid_blocks"] is None or _is_count(d["grid_blocks"]),
+                 "grid_blocks must be null or an int >= 1")
+        _require(_is_count(d["max_cycles"]), "max_cycles must be an int >= 1")
+        trace, metrics = d.get("trace"), d.get("metrics", False)
+        _require(trace is None or isinstance(trace, str),
+                 "trace must be a string or null")
+        _require(isinstance(metrics, bool), "metrics must be a bool")
         return cls(app=d["app"], kernel_fp=d["kernel_fp"],
                    mode=_mode_from_dict(d["mode"]),
                    config=_config_from_dict(d["config"]),
                    scale=d["scale"], waves=d["waves"],
                    grid_blocks=d["grid_blocks"],
                    max_cycles=d["max_cycles"],
-                   trace=d.get("trace"),
-                   metrics=d.get("metrics", False))
+                   trace=trace, metrics=metrics)
 
     def digest(self) -> str:
         """Content address: canonical JSON of the spec + code salt."""
-        payload = json.dumps({"salt": code_salt(), "spec": self.to_dict()},
+        spec = self._as_dict(_config_dict(self.config))
+        payload = json.dumps({"salt": code_salt(), "spec": spec},
                              sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 

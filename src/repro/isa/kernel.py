@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator, Tuple
 
 from repro.config import WARP_SIZE
@@ -157,6 +159,23 @@ class Kernel:
             for r in ins.regs:
                 seen.setdefault(r)
         return tuple(seen)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Content hash of the kernel (resources + instruction stream),
+        computed once per instance.  It is the kernel's identity in
+        every ``RunSpec`` digest: changing what is hashed here orphans
+        every cached result."""
+        h = hashlib.sha256()
+        h.update(repr((self.name, self.threads_per_block,
+                       self.regs_per_thread, self.smem_per_block,
+                       self.grid_blocks, self.seed,
+                       self.work_variance)).encode())
+        for seg in self.segments:
+            h.update(f"|x{seg.repeat}|".encode())
+            for ins in seg.instrs:
+                h.update(repr(ins).encode())
+        return h.hexdigest()[:16]
 
     def iter_trace(self) -> Iterator[Instr]:
         """Yield the full dynamic instruction stream of one warp."""

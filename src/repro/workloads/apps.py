@@ -18,6 +18,7 @@ differently in Sec. VI-B), the Fig. 8 values are stored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 from repro.isa.builder import KernelBuilder
@@ -42,8 +43,19 @@ class App:
 
     def kernel(self, scale: float = 1.0) -> Kernel:
         """Build the kernel (``grid_blocks`` is a placeholder of 1; the
-        harness sizes the grid to the machine)."""
-        return self.build(scale)
+        harness sizes the grid to the machine).
+
+        Built once per ``(build, scale)`` per process and shared: a
+        kernel is immutable, and ``build`` must be a pure function of
+        ``scale``."""
+        return _build_kernel(self.build, scale)
+
+
+@lru_cache(maxsize=128)
+def _build_kernel(build: Callable[[float], Kernel], scale: float) -> Kernel:
+    """The kernel memo behind :meth:`App.kernel`, keyed on ``build``
+    because ``App`` itself is unhashable (its ``paper`` dict)."""
+    return build(scale)
 
 
 def _L(base: int, scale: float) -> int:

@@ -66,6 +66,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             GPUConfig(num_mem_partitions=0)
 
+    @pytest.mark.parametrize("cls", [GPUConfig, GDDRTimings, LatencyConfig])
+    @pytest.mark.parametrize("bad", [0, -1, 2.0, "4", True, None, [8]])
+    def test_every_count_is_an_int_of_at_least_one(self, cls, bad):
+        for name in cls.__dataclass_fields__:
+            if name in ("timings", "latency"):
+                continue
+            with pytest.raises(ValueError, match=name):
+                cls(**{name: bad})
+
+    @pytest.mark.parametrize("field", ["timings", "latency"])
+    def test_nested_configs_must_be_instances(self, field):
+        with pytest.raises(ValueError, match=field):
+            GPUConfig(**{field: {}})
+
 
 class TestScaled:
     def test_scaled_clusters(self):

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,8 +13,8 @@ import pytest
 import repro
 from repro.config import GPUConfig
 from repro.core.sharing import SharedResource
-from repro.harness.engine import (Engine, ResultCache, RunSpec, code_salt,
-                                  kernel_fingerprint)
+from repro.harness.engine import Engine, ResultCache, RunSpec, code_salt
+from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.runner import run, shared, unshared
 from repro.workloads.apps import APPS
 
@@ -82,7 +84,7 @@ class TestRunSpec:
         kernel = APPS["gaussian"].kernel(FAST["scale"])
         s = RunSpec.create(kernel, unshared("lrr"), config=CFG, waves=1.0)
         assert s.app is None and s.kernel is kernel
-        assert s.kernel_fp == kernel_fingerprint(kernel)
+        assert s.kernel_fp == kernel.fingerprint
 
     def test_deserialized_adhoc_spec_not_runnable(self):
         kernel = APPS["gaussian"].kernel(FAST["scale"])
@@ -96,6 +98,104 @@ class TestRunSpec:
         # digest, and the salt is a fixed-size hex string
         assert len(code_salt()) == 16
         int(code_salt(), 16)
+
+
+#: ``Kernel.fingerprint`` of every registry app at scales 0.15 and 1.0.
+#: Part of every digest: a change here orphans every cached result.
+PINNED_FINGERPRINTS = {
+    "backprop": ("6c16f742a7be6922", "c78bc3623a6b673d"),
+    "b+tree": ("11865f7f9468e548", "150fbfdd76e2fc58"),
+    "hotspot": ("7c6cfff459a51608", "db158a0f7d49997c"),
+    "LIB": ("58253d97c035fc7f", "e8cc7963c99ce9fa"),
+    "MUM": ("29fd17bcb136586d", "967a5444b06e8ce8"),
+    "mri-q": ("d43903d37ad13b71", "d8ca97729ed3813e"),
+    "sgemm": ("d7105fa5f653082c", "a2ac701d11143f54"),
+    "stencil": ("5114b475f43ee20b", "ad5b0b9e4659989b"),
+    "CONV1": ("24f8fe24ce267c2c", "4bffe843a2b88632"),
+    "CONV2": ("93e46b1178e27fc1", "322d4ec9bed05dba"),
+    "lavaMD": ("24da3ee4f4a5a1a6", "e036e8e2d218b215"),
+    "NW1": ("ee4109014b713a47", "ba41b300bdf77e41"),
+    "NW2": ("10e247443924d8d1", "f7934928e1833b89"),
+    "SRAD1": ("caa7f6c6a0b1af7c", "626233ce055f33ff"),
+    "SRAD2": ("992d23110e26682f", "e6fba1bdf2688c00"),
+    "backprop-lf": ("28631991bc48ed11", "d07bc7ba47ff817d"),
+    "BFS": ("924f224beb0ef366", "a49f57666c326301"),
+    "gaussian": ("0cef1c31bf4328df", "23183ae0e5dcd977"),
+    "NN": ("764ee70b804dacd9", "58bd633836595410"),
+}
+
+#: ``json.dumps(spec.to_dict(), sort_keys=True)`` of the spec built in
+#: ``test_spec_json_pinned``: the digest's input apart from the salt.
+PINNED_SPEC_JSON = (
+    '{"app": "hotspot", "config": {"banks_per_partition": 8, '
+    '"cores_per_cluster": 1, "dram_queue_depth": 32, '
+    '"dram_row_size": 2048, "fetch_group_size": 8, "l1_assoc": 4, '
+    '"l1_mshrs": 32, "l1_size": 16384, "l2_assoc": 8, "l2_mshrs": 64, '
+    '"l2_size": 786432, "latency": {"alu": 4, "dram_clock_ratio": 2, '
+    '"dram_fixed": 20, "interconnect": 24, "l1_hit": 28, "l2_hit": 48, '
+    '"scratchpad": 24, "sfu": 20}, "line_size": 128, '
+    '"max_blocks_per_sm": 8, "max_threads_per_sm": 1536, '
+    '"num_clusters": 1, "num_mem_partitions": 6, "num_schedulers": 2, '
+    '"registers_per_sm": 32768, "scratchpad_per_sm": 16384, '
+    '"timings": {"burst": 4, "tCDLR": 5, "tCL": 12, "tRAS": 28, '
+    '"tRC": 40, "tRCD": 12, "tRP": 12, "tRRD": 6, "tWR": 12}}, '
+    '"grid_blocks": null, "kernel_fp": "7c6cfff459a51608", '
+    '"max_cycles": 2000000, "metrics": false, "mode": {"dyn": true, '
+    '"early_release": false, "label": "Shared-OWF-Unroll-Dyn", '
+    '"scheduler": "owf", "sharing": "registers", "t": 0.3, '
+    '"unroll": true}, "scale": 0.15, "trace": null, "waves": 1.0}')
+
+
+class TestWarmPath:
+    """Kernels, fingerprints and config dicts are computed once per
+    process, and the digest inputs are unchanged by the memoization."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+    def test_fingerprints_pinned(self, name):
+        small, full = PINNED_FINGERPRINTS[name]
+        assert APPS[name].kernel(0.15).fingerprint == small
+        assert APPS[name].kernel(1.0).fingerprint == full
+
+    def test_every_registry_app_pinned(self):
+        assert set(PINNED_FINGERPRINTS) == set(APPS)
+
+    def test_spec_json_pinned(self):
+        s = RunSpec.create(
+            APPS["hotspot"],
+            shared(SharedResource.REGISTERS, "owf", t=0.3, unroll=True,
+                   dyn=True), **FAST)
+        assert json.dumps(s.to_dict(), sort_keys=True) == PINNED_SPEC_JSON
+
+    def test_kernel_built_once(self):
+        app = APPS["hotspot"]
+        assert app.kernel(0.15) is app.kernel(0.15)
+
+    def test_mutating_to_dict_leaves_digest(self):
+        s = spec()
+        digest = s.digest()
+        d = s.to_dict()
+        d["config"]["l1_mshrs"] = 1
+        d["config"]["timings"]["tCL"] = 1
+        assert s.digest() == digest
+        assert s.to_dict()["config"]["timings"]["tCL"] == 12
+
+    def test_warm_pass_builds_each_kernel_at_most_once(self, tmp_path,
+                                                       monkeypatch):
+        tiny = dict(config=CFG, scale=0.1, waves=0.5)
+        cold = Engine(jobs=1, cache_dir=tmp_path)
+        for exp_id in EXPERIMENTS:
+            run_experiment(exp_id, engine=cold, **tiny)
+        builds = Counter()
+        for name, app in list(APPS.items()):
+            def counted(scale, name=name, build=app.build):
+                builds[name, scale] += 1
+                return build(scale)
+            monkeypatch.setitem(APPS, name, replace(app, build=counted))
+        warm = Engine(jobs=1, cache_dir=tmp_path)
+        for exp_id in EXPERIMENTS:
+            run_experiment(exp_id, engine=warm, **tiny)
+        assert warm.stats.sims == 0 and warm.stats.hits > 0
+        assert builds and max(builds.values()) == 1
 
 
 class TestResultCache:

@@ -266,6 +266,38 @@ class TestMalformedRequests:
         assert not [r for r in caplog.records if r.levelname == "ERROR"]
 
 
+class TestMalformedSpecs:
+    """A spec value of the wrong type or range gets a 400 at submit
+    time instead of failing later inside the engine."""
+
+    CASES = {
+        "l1-mshrs-zero": ("config", "l1_mshrs", 0),
+        "schedulers-zero": ("config", "num_schedulers", 0),
+        "l1-mshrs-string": ("config", "l1_mshrs", "32"),
+        "fetch-group-list": ("config", "fetch_group_size", [8]),
+        "scale-string": (None, "scale", "0.15"),
+        "max-cycles-string": (None, "max_cycles", "1000"),
+        "grid-blocks-negative": (None, "grid_blocks", -2),
+        "scheduler-unknown": ("mode", "scheduler", "bogus"),
+        "label-list": ("mode", "label", ["x"]),
+        "t-out-of-range": ("mode", "t", 1.5),
+        "flag-not-bool": ("mode", "early_release", 0),
+        "app-list": (None, "app", ["gaussian"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_with_400(self, tmp_path, case):
+        section, key, value = self.CASES[case]
+        body = spec().to_dict()
+        (body[section] if section else body)[key] = value
+        with service(tmp_path) as (_server, client):
+            status, payload = client._request("POST", "/jobs",
+                                              {"spec": body})
+            assert status == 400
+            assert key in payload["error"]
+            assert client.healthz()["jobs"]["queued"] == 0
+
+
 class TestAdmissionControl:
     def test_queue_depth_bound_sheds_load(self, tmp_path):
         with service(tmp_path, start_paused=True,
