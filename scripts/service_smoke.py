@@ -9,9 +9,10 @@ actually deploys:
 2. run a fig8-style cell batch through the ``repro submit`` CLI and
    assert every result payload is digest- and result-identical to a
    direct ``repro run --json`` of the same cell;
-3. queue 20 jobs and ``SIGTERM`` the server mid-queue: the process
-   must exit 0 (graceful drain), leave no job in ``running`` and lose
-   none;
+3. submit 20 jobs so that one batch claims several of them, and
+   ``SIGTERM`` the server mid-batch: the process must exit 0 (graceful
+   drain), leave no job in ``running``, lose none and hand at least one
+   of that batch's jobs back to the queue;
 4. restart on the same store and drain the queue to completion.
 
 Usage::
@@ -47,8 +48,7 @@ def free_port() -> int:
 def start_server(port: int, db: Path) -> subprocess.Popen:
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", str(port),
-         "--db", str(db), "--jobs", "1", "--no-cache",
-         "--batch-wait", "0.02"])
+         "--db", str(db), "--jobs", "1", "--no-cache"])
     client = ServiceClient(port=port, timeout=5.0)
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
@@ -91,18 +91,40 @@ def check_digest_equality(port: int) -> None:
 
 def queue_20_and_sigterm(port: int, db: Path,
                          proc: subprocess.Popen) -> list[str]:
+    """Put several of 20 jobs in one batch and SIGTERM the server
+    while it runs.
+
+    An idle scheduler claims a job the moment it is submitted, and the
+    server runs one batch at a time (``--jobs 1``).  So a long opener
+    is claimed alone and holds the scheduler while the other 19 are
+    submitted.  When it ends, one claim takes the long, higher-priority
+    ``holder`` plus the short jobs queued by then (up to 15).  The
+    signal lands while ``holder`` runs, so the drain must requeue that
+    batch's unstarted slots.
+    """
     client = ServiceClient(port=port, client_id="smoke")
     from repro.config import GPUConfig
     from repro.harness.engine import RunSpec
     from repro.harness.runner import unshared
     from repro.workloads.apps import APPS
     cfg = GPUConfig().scaled(num_clusters=1)
+    opener, holder = (RunSpec.create(APPS["gaussian"], unshared("lrr"),
+                                     config=cfg, scale=1.0, waves=20.0,
+                                     max_cycles=max_cycles)
+                      for max_cycles in (20_000_000, 20_000_001))
     specs = [RunSpec.create(APPS["gaussian"], unshared("lrr"),
                             config=cfg, scale=0.2, waves=1.0,
                             max_cycles=10_000_000 + i)
-             for i in range(20)]
-    ids = [client.submit(s)["id"] for s in specs]
-    proc.send_signal(signal.SIGTERM)     # mid-queue, on purpose
+             for i in range(18)]
+    ids = [client.submit(opener)["id"]]
+    held = client.submit(holder, priority=1)["id"]
+    ids += [held] + [client.submit(s)["id"] for s in specs]
+    deadline = time.monotonic() + 60
+    while held not in (batch := client.healthz()["running_batch"]):
+        if time.monotonic() > deadline:
+            raise SystemExit("the holder's batch never started")
+        time.sleep(0.01)
+    proc.send_signal(signal.SIGTERM)     # mid-batch, on purpose
     rc = proc.wait(timeout=120)
     if rc != 0:
         raise SystemExit(f"graceful drain exited {rc}, expected 0")
@@ -117,8 +139,13 @@ def queue_20_and_sigterm(port: int, db: Path,
         raise SystemExit(f"drain lost jobs: running={counts['running']} "
                          f"bad states={lost}")
     done = sum(1 for st in states.values() if st == "done")
-    print(f"  SIGTERM with 20 queued: rc=0, {done} done, "
-          f"{20 - done} requeued, 0 lost")
+    requeued = sum(1 for jid in batch if states[jid] == "queued")
+    if not requeued:
+        raise SystemExit("SIGTERM landed after the batch: none of its "
+                         "jobs was requeued, so the drain went untested")
+    print(f"  SIGTERM mid-batch with 20 jobs: rc=0, {done} done, "
+          f"{requeued} requeued from the batch, "
+          f"{20 - done - requeued} never claimed, 0 lost")
     return ids
 
 

@@ -101,8 +101,6 @@ def main(argv: list[str] | None = None) -> int:
     add_engine_args(ps)
     ps.add_argument("--batch-max", type=int, default=16,
                     help="max jobs coalesced into one engine batch")
-    ps.add_argument("--batch-wait", type=float, default=0.05,
-                    help="batch coalescing window in seconds")
     ps.add_argument("--max-queue", type=int, default=256,
                     help="admission control: max queued jobs before "
                          "submissions get 429")
@@ -274,8 +272,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ServiceConfig, ServiceServer
     cfg = ServiceConfig(
         host=args.host, port=args.port, db_path=args.db,
-        batch_max=args.batch_max, batch_wait=args.batch_wait,
-        max_queue_depth=args.max_queue,
+        batch_max=args.batch_max, max_queue_depth=args.max_queue,
         max_queued_bytes=args.max_queued_bytes,
         rate_limit=args.rate_limit, rate_burst=args.rate_burst)
     server = ServiceServer(cfg, engine_opts=engine_kwargs(args))

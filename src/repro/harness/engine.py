@@ -488,7 +488,9 @@ class RunEvent:
     elapsed: float       #: simulation seconds (0.0 for cache hits)
 
 
-def _default_jobs() -> int:
+def default_jobs() -> int:
+    """Worker count when ``jobs`` is not given: ``REPRO_JOBS``, else
+    the CPU count."""
     env = os.environ.get("REPRO_JOBS")
     if env:
         return max(1, int(env))
@@ -555,7 +557,7 @@ class Engine:
                  max_cycles: int | None = None,
                  metrics: bool = False,
                  trace_dir: str | Path | None = None) -> None:
-        self.jobs = max(1, jobs) if jobs is not None else _default_jobs()
+        self.jobs = max(1, jobs) if jobs is not None else default_jobs()
         if isinstance(cache, ResultCache):
             self.cache: ResultCache | None = cache
         elif cache and os.environ.get("REPRO_NO_CACHE") != "1":
@@ -584,7 +586,8 @@ class Engine:
     def run_batch(self, specs: Sequence[RunSpec], *,
                   progress: Callable[[RunEvent], None] | None = None,
                   cancel: "_CancelToken | None" = None,
-                  on_complete: Callable[[RunEvent], None] | None = None
+                  on_complete: Callable[[RunEvent], None] | None = None,
+                  pool: bool = False
                   ) -> list[RunResult | RunFailure]:
         """Execute ``specs``; returns results aligned with the input.
 
@@ -615,6 +618,11 @@ class Engine:
         :class:`RunEvent` the ``progress`` callback receives.  The two
         exist separately so UI progress and durability hooks (the
         service persists each result the moment it lands) can coexist.
+
+        ``pool=True`` runs every uncached spec in a worker process, even
+        a lone one that would otherwise run in this process.  A caller
+        running several batches at once from threads uses it so the
+        simulations do not share one interpreter lock.
         """
         t_batch = time.perf_counter()
         progress = progress if progress is not None else self.progress
@@ -699,7 +707,7 @@ class Engine:
             emit(d, results[d], False, 0.0)
 
         try:
-            if len(todo) > 1 and self.jobs > 1:
+            if todo and (pool or (len(todo) > 1 and self.jobs > 1)):
                 self._run_pool(todo, unique, record, fail, cancelled,
                                cancel)
             else:

@@ -7,12 +7,14 @@ semantics):
   HTTP/1.1 (one request per connection, ``Connection: close``) — no
   ``http.server``, no third-party framework;
 * a **scheduler task** that claims compatible queued jobs from the
-  :class:`~repro.service.store.JobStore` (priority, then FIFO), lets a
-  short *coalescing window* pass so trickling submissions merge into
-  one batch, and executes the batch through the ordinary
-  :meth:`Engine.run_batch` in a worker thread — so the service
-  inherits the engine's dedup, result cache, retries, timeouts and
-  failure isolation verbatim rather than reimplementing them;
+  :class:`~repro.service.store.JobStore` (priority, then FIFO) the
+  moment a worker slot is free, and executes them through the
+  ordinary :meth:`Engine.run_batch` in a worker thread — so the
+  service inherits the engine's dedup, result cache, retries,
+  timeouts and failure isolation verbatim rather than reimplementing
+  them.  Batches run side by side until they fill the engine's
+  ``jobs`` worker slots; jobs that arrive while every slot is busy
+  wait in the queue and the next claim takes them together;
 * **admission control**: a submission is rejected with ``429`` when
   the queue is too deep, the queued spec bytes exceed the bound, or
   the per-client token bucket is empty.  Load is shed at the door, not
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
-from repro.harness.engine import Engine, RunSpec
+from repro.harness.engine import Engine, RunSpec, default_jobs
 from repro.harness.resilience import RunFailure
 from repro.obs.metrics import MetricsRegistry
 from repro.service.serialize import failure_payload, result_payload
@@ -71,7 +73,6 @@ class ServiceConfig:
     port: int = 8070                 #: 0 = pick an ephemeral port
     db_path: str | Path = "repro-jobs.sqlite"
     batch_max: int = 16              #: max jobs coalesced per run_batch
-    batch_wait: float = 0.05         #: coalescing window (seconds)
     max_queue_depth: int = 256       #: admission bound: queued jobs
     max_queued_bytes: int = 8 << 20  #: admission bound: queued spec bytes
     rate_limit: float = 0.0          #: per-client submits/sec (0 = off)
@@ -103,12 +104,19 @@ class TokenBucket:
         return False
 
 
-@dataclass
+@dataclass(eq=False)
 class _BatchState:
-    """Bookkeeping for the batch currently inside ``run_batch``."""
+    """Bookkeeping for one claimed batch, until ``run_batch`` returns."""
 
+    jobs: list[Job]
+    slots: int                       #: worker slots it occupies
+    engine: Engine | None = None     #: used by this batch alone
     jobs_by_digest: dict[str, list[Job]] = field(default_factory=dict)
-    job_ids: set[str] = field(default_factory=set)
+
+
+def _stat_sum(engines: list[Engine], name: str) -> int:
+    """One :class:`EngineStats` counter summed over ``engines``."""
+    return sum(getattr(eng.stats, name) for eng in engines)
 
 
 class ServiceServer:
@@ -116,10 +124,11 @@ class ServiceServer:
 
     ``engine_opts`` are passed through to :class:`Engine` — the service
     composes with every engine feature (``jobs=``, ``cache=``,
-    ``timeout=``, ``retry=``, ``faults=`` for chaos drills...).  One
-    engine exists per batch-compatibility key (currently the
-    ``sanitize`` flag, which is engine-level), created lazily; they
-    share the same cache directory, so results flow between them.
+    ``timeout=``, ``retry=``, ``faults=`` for chaos drills...).
+    Engines are kept per batch-compatibility key (currently the
+    ``sanitize`` flag, which is engine-level) and created lazily, one
+    for each batch running at once under that key; they share the
+    same cache directory, so results flow between them.
     """
 
     def __init__(self, config: ServiceConfig | None = None, *,
@@ -135,9 +144,13 @@ class ServiceServer:
         self.cancel = threading.Event()
         self.draining = False
         self.started_at = time.time()
-        self._engines: dict[bool, Engine] = {}
+        #: Worker slots the running batches share (the engine's ``jobs``).
+        jobs = self.engine_opts.get("jobs")
+        self.workers = max(1, jobs) if jobs is not None else default_jobs()
+        self._engines: dict[bool, list[Engine]] = {}
         self._buckets: dict[str, TokenBucket] = {}
-        self._batch: _BatchState | None = None
+        #: Batches inside ``run_batch``.  Loop-thread only.
+        self._batches: list[_BatchState] = []
         self._mlock = threading.Lock()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown_ev = asyncio.Event()
@@ -253,72 +266,92 @@ class ServiceServer:
 
     # -- scheduler -----------------------------------------------------
     def _engine_for(self, sanitize: bool) -> Engine:
-        eng = self._engines.get(sanitize)
-        if eng is None:
-            eng = Engine(sanitize=sanitize or None, **self.engine_opts)
-            self._engines[sanitize] = eng
+        """An engine no running batch is using, created on first need:
+        an :class:`Engine` runs one batch at a time."""
+        engines = self._engines.setdefault(sanitize, [])
+        for eng in engines:
+            if all(b.engine is not eng for b in self._batches):
+                return eng
+        eng = Engine(sanitize=sanitize or None, **self.engine_opts)
+        engines.append(eng)
         return eng
 
     async def _scheduler(self) -> None:
         cfg = self.config
         shutdown, wake = self._shutdown_ev, self._wake
+        running: set[asyncio.Task] = set()
         while not shutdown.is_set():
             # Clear before looking: a wake that lands after the check
             # stays set, so the wait below cannot miss it.
             wake.clear()
-            if self._paused or self.store.queue_depth() == 0:
+            busy = sum(b.slots for b in self._batches)
+            if (self._paused or busy >= self.workers
+                    or self.store.queue_depth() == 0):
                 await wake.wait()
                 continue
-            # Coalescing window: give trickling submissions a moment
-            # to merge into this batch before claiming.
-            if cfg.batch_wait > 0 \
-                    and self.store.queue_depth() < cfg.batch_max:
-                await asyncio.sleep(cfg.batch_wait)
-                if shutdown.is_set():
-                    break
+            # Claim at once: jobs submitted while every worker slot is
+            # busy queue up and share the next claim.
             jobs = self.store.claim(cfg.batch_max)
             if not jobs:
                 continue
-            loop = asyncio.get_running_loop()
-            try:
-                await loop.run_in_executor(None, self._execute_batch,
-                                           jobs)
-            except Exception as exc:  # defensive: never lose a batch
-                for j in jobs:
-                    self.store.fail(j.id, {
-                        "schema": 1, "ok": False, "digest": j.digest,
-                        "failure": {
-                            "category": "error",
-                            "exception_type": type(exc).__name__,
-                            "message": f"service batch runner died: {exc}",
-                            "spec_digest": j.digest,
-                            "app": j.spec.get("app") or "?",
-                            "mode": "?", "attempts": 1, "elapsed": 0.0,
-                            "traceback_tail": "",
-                        }})
-                self._wake_waiters(j.id for j in jobs)
+            # Registered before the next pass counts busy slots: one
+            # per distinct spec, up to the engine's workers.
+            state = _BatchState(
+                jobs, slots=min(len({j.digest for j in jobs}),
+                                self.workers))
+            self._batches.append(state)
+            task = asyncio.create_task(self._run_batch(state))
+            running.add(task)
+            task.add_done_callback(running.discard)
+        await asyncio.gather(*running)
 
-    def _execute_batch(self, jobs: list[Job]) -> None:
-        """Worker-thread body: one ``run_batch`` for the claimed jobs."""
+    async def _run_batch(self, state: _BatchState) -> None:
+        loop = asyncio.get_running_loop()
+        try:
+            state.engine = self._engine_for(state.jobs[0].sanitize)
+            await loop.run_in_executor(None, self._execute_batch, state)
+        except Exception as exc:  # defensive: never lose a batch
+            for j in state.jobs:
+                self.store.fail(j.id, {
+                    "schema": 1, "ok": False, "digest": j.digest,
+                    "failure": {
+                        "category": "error",
+                        "exception_type": type(exc).__name__,
+                        "message": f"service batch runner died: {exc}",
+                        "spec_digest": j.digest,
+                        "app": j.spec.get("app") or "?",
+                        "mode": "?", "attempts": 1, "elapsed": 0.0,
+                        "traceback_tail": "",
+                    }})
+            self._wake_waiters(j.id for j in state.jobs)
+        finally:
+            self._batches.remove(state)
+            self._wake.set()
+
+    def _execute_batch(self, state: _BatchState) -> None:
+        """Worker-thread body: one ``run_batch`` for the claimed jobs.
+
+        Jobs are keyed on the digest recomputed here, under the running
+        code's salt, because that is the digest ``_persist`` sees; the
+        one stored at submit may predate an upgrade and restart.
+
+        With more than one worker every simulation runs in a worker
+        process, even a batch's lone one, so batches running side by
+        side never share this process's interpreter lock (nor take it
+        from the event loop).
+        """
         specs = []
-        state = _BatchState()
-        for job in jobs:
+        for job in state.jobs:
             spec = RunSpec.from_dict(job.spec)
             specs.append(spec)
-            state.jobs_by_digest.setdefault(job.digest, []).append(job)
-            state.job_ids.add(job.id)
-        self._batch = state
-        engine = self._engine_for(jobs[0].sanitize)
+            state.jobs_by_digest.setdefault(spec.digest(), []).append(job)
         with self._mlock:
             self.registry.counter("service_batches_total").inc()
             self.registry.histogram("service_batch_jobs") \
-                .record(len(jobs))
-        try:
-            engine.run_batch(
-                specs, cancel=self.cancel,
-                on_complete=lambda ev: self._persist(state, ev))
-        finally:
-            self._batch = None
+                .record(len(state.jobs))
+        state.engine.run_batch(
+            specs, cancel=self.cancel, pool=self.workers > 1,
+            on_complete=lambda ev: self._persist(state, ev))
 
     def _persist(self, state: _BatchState, ev) -> None:
         """Durability hook: store each slot the moment it settles.
@@ -467,22 +500,19 @@ class ServiceServer:
     # -- endpoints -----------------------------------------------------
     def _healthz(self) -> dict:
         counts = self.store.counts()
-        engines = {}
-        for key, eng in self._engines.items():
-            engines["sanitize" if key else "default"] = {
-                "sims": eng.stats.sims, "hits": eng.stats.hits,
-                "failures": eng.stats.failures,
-                "retries": eng.stats.retries,
-                "cancelled": eng.stats.cancelled,
-            }
+        engines = {
+            "sanitize" if key else "default": {
+                name: _stat_sum(engs, name) for name in
+                ("sims", "hits", "failures", "retries", "cancelled")}
+            for key, engs in self._engines.items()}
         return {
             "status": "draining" if self.draining else "ok",
             "uptime_s": round(time.time() - self.started_at, 3),
             "paused": self.paused,
             "jobs": counts,
             "queued_bytes": self.store.queued_bytes(),
-            "running_batch": sorted(self._batch.job_ids)
-            if self._batch else [],
+            "running_batch": sorted(
+                j.id for b in self._batches for j in b.jobs),
             "recovered_on_start": self.recovered,
             "engines": engines,
         }
@@ -496,12 +526,11 @@ class ServiceServer:
                 .set(self.store.queued_bytes())
             self.registry.gauge("service_uptime_seconds") \
                 .set(round(time.time() - self.started_at, 3))
-            sims = hits = 0
-            for eng in self._engines.values():
-                sims += eng.stats.sims
-                hits += eng.stats.hits
-            self.registry.gauge("engine_sims").set(sims)
-            self.registry.gauge("engine_cache_hits").set(hits)
+            engines = [e for engs in self._engines.values() for e in engs]
+            for gauge, name in (("engine_sims", "sims"),
+                                ("engine_cache_hits", "hits"),
+                                ("engine_deduped", "deduped")):
+                self.registry.gauge(gauge).set(_stat_sum(engines, name))
             return self.registry.to_prometheus()
 
     def _list_jobs(self, query: dict):

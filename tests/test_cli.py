@@ -246,8 +246,7 @@ class TestServiceCli:
     def server(self, tmp_path):
         from repro.service import ServiceConfig, ServiceServer
         srv = ServiceServer(
-            ServiceConfig(port=0, db_path=tmp_path / "jobs.sqlite",
-                          batch_wait=0.01),
+            ServiceConfig(port=0, db_path=tmp_path / "jobs.sqlite"),
             engine_opts={"jobs": 1, "cache": False})
         srv.start_in_thread()
         yield srv

@@ -13,6 +13,7 @@ import pytest
 import repro
 from repro.config import GPUConfig
 from repro.core.sharing import SharedResource
+from repro.harness import engine as engine_mod
 from repro.harness.engine import Engine, ResultCache, RunSpec, code_salt
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.runner import run, shared, unshared
@@ -291,6 +292,21 @@ class TestEngine:
         par = Engine(jobs=2, cache=False).run_batch(specs)
         assert par == seq
         assert [r.to_dict() for r in par] == [r.to_dict() for r in seq]
+
+    def test_pool_flag_sends_a_lone_spec_to_a_worker(self, monkeypatch):
+        made = []
+        real = engine_mod.ProcessPoolExecutor
+
+        def counted(**kw):
+            made.append(kw)
+            return real(**kw)
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", counted)
+        s = spec()
+        eng = Engine(jobs=2, cache=False)
+        in_process = eng.run_batch([s])
+        assert made == []
+        assert eng.run_batch([s], pool=True) == in_process
+        assert made == [{"max_workers": 1}]
 
     def test_jobs_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")

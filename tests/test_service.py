@@ -12,16 +12,20 @@ import socket
 import threading
 import time
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 
 from repro.config import GPUConfig
+from repro.harness import engine as engine_module
+from repro.harness import faults
 from repro.harness.engine import Engine, RunSpec
 from repro.harness.faults import FaultInjector
 from repro.harness.runner import unshared
 from repro.service import (AdmissionRejected, JobPending, JobStore,
                            ServiceClient, ServiceConfig, ServiceError,
                            ServiceServer, parse_result)
+from repro.service import server as server_module
 from repro.sim.stats import RunResult
 from repro.workloads.apps import APPS
 
@@ -44,7 +48,6 @@ def distinct_specs(n):
 def service(tmp_path, *, engine_opts=None, **overrides):
     overrides.setdefault("port", 0)
     overrides.setdefault("db_path", tmp_path / "jobs.sqlite")
-    overrides.setdefault("batch_wait", 0.01)
     cfg = ServiceConfig(**overrides)
     server = ServiceServer(
         cfg, engine_opts=engine_opts or {"jobs": 1, "cache": False})
@@ -128,7 +131,7 @@ class TestRoundTrip:
             ids = [client.submit(s)["id"] for _ in range(3)]
             server.paused = False
             payloads = wait_done(client, ids)
-            engine = server._engines[False]
+            (engine,) = server._engines[False]
         assert engine.stats.sims == 1
         results = {jid: parse_result(p) for jid, p in payloads.items()}
         assert len(set(map(id, results.values()))) == 3  # distinct objects
@@ -166,15 +169,24 @@ class TestEndpoints:
         assert health["recovered_on_start"] == 0
 
     def test_metrics_prometheus_text(self, tmp_path):
-        with service(tmp_path) as (_server, client):
+        with service(tmp_path) as (server, client):
             client.run(spec(), timeout=30)
             text = client.metrics_text()
+            server.paused = True
+            twice = spec(app="hotspot")
+            ids = [client.submit(twice)["id"] for _ in range(2)]
+            server.paused = False
+            wait_done(client, ids)
+            deduped = client.metrics_text()
         assert "# TYPE service_jobs_submitted_total counter" in text
         assert "service_jobs_submitted_total 1" in text
         assert 'service_jobs_finished_total{outcome="done"} 1' in text
         assert 'service_jobs{state="done"} 1' in text
         assert "service_batch_jobs_bucket" in text
         assert "engine_sims 1" in text
+        assert "engine_deduped 0" in text
+        assert "engine_sims 2" in deduped
+        assert "engine_deduped 1" in deduped
 
     def test_unknown_job_404(self, tmp_path):
         with service(tmp_path) as (_server, client):
@@ -429,23 +441,45 @@ class TestDurability:
                 jobs = client.jobs(state="done")
             assert jobs and jobs[0]["digest"] == s.digest()
 
+    def test_job_queued_under_older_code_salt_finishes(self, tmp_path,
+                                                        monkeypatch):
+        """An upgrade between submit and claim changes every digest:
+        the job must still finish, under the digest of the code that
+        ran it, instead of hanging in ``running``."""
+        s = spec()
+        with service(tmp_path, start_paused=True) as (server, client):
+            job = client.submit(s)
+            monkeypatch.setattr("repro.harness.engine.code_salt",
+                                lambda: "upgraded")
+            upgraded = s.digest()
+            server.paused = False
+            payload = client.wait(job["id"], timeout=30)
+        assert job["digest"] != upgraded
+        assert payload["ok"] is True
+        assert payload["digest"] == upgraded
+
     def test_graceful_drain_loses_none_of_20_jobs(self, tmp_path):
         """ISSUE acceptance: kill -TERM with a 20-job queue loses zero
-        jobs — finished results persisted, unstarted requeued.  A hang
-        fault on the first spec holds the batch open so the drain
-        provably lands mid-batch."""
+        jobs — finished results persisted, unstarted requeued.  The
+        20 are queued while paused so one claim takes 16 of them, and
+        a hang fault on the first spec holds that batch open so the
+        drain provably lands mid-batch."""
         db = tmp_path / "jobs.sqlite"
         specs = distinct_specs(20)
         inj = FaultInjector().add(specs[0].digest(), "hang", seconds=0.6)
-        with service(tmp_path, db_path=db, batch_max=16, batch_wait=0,
+        with service(tmp_path, db_path=db, batch_max=16, start_paused=True,
                      engine_opts={"jobs": 1, "cache": False,
                                   "faults": inj}) as (server, client):
             ids = {s.digest(): client.submit(s)["id"] for s in specs}
+            server.paused = False
             deadline = time.monotonic() + 10
-            while not server._batch and time.monotonic() < deadline:
+            while not server._batches and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert server._batch is not None, "batch never started"
+            assert server._batches, "batch never started"
             server.stop()  # same path as the SIGTERM handler
+        requeued = server.registry.counter("service_jobs_finished_total",
+                                           outcome="requeued")
+        assert requeued.to_value() >= 1, "no batch slot was requeued"
 
         st = JobStore(db)
         counts = st.counts()
@@ -515,7 +549,7 @@ class TestFailurePaths:
             transient = client.wait(ids[0], timeout=60)
             persistent = client.wait(ids[1], timeout=60)
             clean = client.wait(ids[2], timeout=60)
-            engine = server._engines[False]
+            (engine,) = server._engines[False]
         assert transient["ok"] is True          # retry absorbed the crash
         assert engine.stats.retries >= 1
         assert persistent["ok"] is False
@@ -525,6 +559,96 @@ class TestFailurePaths:
         assert client.parse(clean) == Engine(jobs=1, cache=False) \
             .run_one(specs[2])
         assert json.loads(json.dumps(persistent)) == persistent
+
+
+class TestBatching:
+    """An idle scheduler claims at once; jobs that arrive while every
+    worker slot is busy wait in the queue and share the next claim."""
+
+    def test_idle_server_claims_without_a_timed_wait(self, tmp_path,
+                                                     monkeypatch):
+        def no_timer(*_args, **_kwargs):
+            raise AssertionError("the scheduler slept on a timer")
+        monkeypatch.setattr(server_module.asyncio, "sleep", no_timer)
+        with service(tmp_path) as (_server, client):
+            job = client.submit(spec())
+            assert client.wait(job["id"], timeout=30)["ok"] is True
+
+    def test_jobs_submitted_during_a_batch_are_claimed_together(
+            self, tmp_path, monkeypatch):
+        # The hang fault on ``first`` lasts until ``release`` is set.
+        release = threading.Event()
+        monkeypatch.setattr(faults, "time",
+                            SimpleNamespace(sleep=release.wait))
+        first = spec(app="hotspot")
+        later = distinct_specs(4)
+        later.append(later[0])  # a duplicate pair
+        inj = FaultInjector().add(first.digest(), "hang")
+        with service(tmp_path, engine_opts={
+                "jobs": 1, "cache": False,
+                "faults": inj}) as (server, client):
+            ids = [client.submit(first)["id"]]
+            deadline = time.monotonic() + 10
+            while not server._batches and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server._batches, "batch never started"
+            ids += [client.submit(s)["id"] for s in later]
+            release.set()
+            wait_done(client, ids)
+            batches = server.registry.counter("service_batches_total")
+            sizes = server.registry.histogram("service_batch_jobs")
+            (engine,) = server._engines[False]
+        assert batches.to_value() == 2
+        assert (sizes.count, sizes.min, sizes.max) == (2, 1, len(later))
+        # ``first`` plus four distinct specs; the pair ran once.
+        assert (engine.stats.sims, engine.stats.deduped) == (5, 1)
+
+
+    def test_free_worker_claims_beside_a_running_batch(self, tmp_path,
+                                                       monkeypatch):
+        """Two workers: a job submitted while a lone job runs is claimed
+        at once into a second batch and finishes while the first still
+        runs.  Both batches simulate in worker processes."""
+        # The hang fault on ``first`` lasts until ``release`` exists; a
+        # file, because the hang runs in a forked worker process.
+        release = tmp_path / "release"
+        sleep = time.sleep
+
+        def hold(seconds):
+            deadline = time.monotonic() + seconds
+            while not release.exists() and time.monotonic() < deadline:
+                sleep(0.01)
+        monkeypatch.setattr(faults, "time", SimpleNamespace(sleep=hold))
+        pools = []
+        real_pool = engine_module.ProcessPoolExecutor
+
+        def counted_pool(**kw):
+            pools.append(kw)
+            return real_pool(**kw)
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor",
+                            counted_pool)
+        first, second = spec(app="hotspot"), spec()
+        inj = FaultInjector().add(first.digest(), "hang")
+        with service(tmp_path, engine_opts={
+                "jobs": 2, "cache": False,
+                "faults": inj}) as (server, client):
+            held = client.submit(first)["id"]
+            deadline = time.monotonic() + 10
+            while not server._batches and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server._batches, "batch never started"
+            beside = client.wait(client.submit(second)["id"], timeout=30)
+            state = client.status(held)["state"]
+            release.touch()
+            assert client.wait(held, timeout=30)["ok"] is True
+            batches = server.registry.counter("service_batches_total")
+            engines = server._engines[False]
+        assert state == "running"
+        assert parse_result(beside) == Engine(jobs=1, cache=False) \
+            .run_one(second)
+        assert batches.to_value() == 2
+        assert len(engines) == 2  # one engine per concurrent batch
+        assert pools == [{"max_workers": 1}] * 2
 
 
 class TestWakeups:
