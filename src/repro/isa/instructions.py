@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
-from repro.isa.opcodes import (MEM_OPS, GLOBAL_OPS, MemSpace,
+from repro.isa.opcodes import (GROUPS, MEM_OPS, GLOBAL_OPS, MemSpace,
                                Op, Pattern, op_group)
 
 __all__ = ["MemDesc", "Instr"]
@@ -83,15 +83,15 @@ class Instr:
     # simulator's issue loop never recomputes it per dynamic instruction
     # (non-field attributes: they do not participate in eq/repr/replace).
     #
-    # ``group``    — functional group ("alu"/"sfu"/"global"/"shared"/
-    #                "bar"/"exit"), formerly looked up per issue.
+    # ``gcode``    — functional group as its index in ``GROUPS`` (0 alu,
+    #                1 sfu, 2 global, 3 shared, 4 bar, 5 exit).
     # ``regs``     — all register indices, dst first (was a property
     #                that rebuilt the tuple on every scoreboard check).
     # ``max_reg``  — highest register index (-1 if none); the Fig. 3
     #                shared-access check reduces to ``max_reg >= Rw·t``.
     # ``uses_port``— True for global/shared memory instructions (the
     #                single LD/ST port structural constraint).
-    group: str = field(init=False, repr=False, compare=False)
+    gcode: int = field(init=False, repr=False, compare=False)
     regs: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     max_reg: int = field(init=False, repr=False, compare=False)
     uses_port: bool = field(init=False, repr=False, compare=False)
@@ -111,7 +111,7 @@ class Instr:
             if r < 0:
                 raise ValueError("register indices must be non-negative")
         group = op_group(self.op)
-        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "gcode", GROUPS.index(group))
         object.__setattr__(self, "regs", regs)
         object.__setattr__(self, "max_reg", max(regs, default=-1))
         object.__setattr__(self, "uses_port",

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from enum import Enum, auto
 
-__all__ = ["Op", "MemSpace", "Pattern", "op_group", "ALU_OPS", "SFU_OPS",
-           "LOAD_OPS", "STORE_OPS", "GLOBAL_OPS", "SHARED_OPS", "MEM_OPS"]
+__all__ = ["Op", "MemSpace", "Pattern", "op_group", "GROUPS", "ALU_OPS",
+           "SFU_OPS", "LOAD_OPS", "STORE_OPS", "GLOBAL_OPS", "SHARED_OPS",
+           "MEM_OPS"]
 
 
 class Op(Enum):
@@ -70,6 +71,12 @@ STORE_OPS = frozenset({Op.STG, Op.STS})
 GLOBAL_OPS = frozenset({Op.LDG, Op.STG})
 SHARED_OPS = frozenset({Op.LDS, Op.STS})
 MEM_OPS = GLOBAL_OPS | SHARED_OPS
+
+#: The functional groups of :func:`op_group`, in group-code order:
+#: ``Instr.gcode`` is an index into this tuple.  The two compute groups
+#: come first, so ``gcode < 2`` tests for a compute instruction and a
+#: table of their result latencies can be indexed by the code.
+GROUPS = ("alu", "sfu", "global", "shared", "bar", "exit")
 
 
 def op_group(op: Op) -> str:

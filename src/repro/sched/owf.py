@@ -10,9 +10,9 @@ exist every warp is class 1 and OWF degenerates to exactly GTO — the
 paper leans on this for its Set-3 analysis ("Shared-OWF ... is similar
 to Unshared-GTO"), and our tests assert it cycle-for-cycle.
 
-Class membership is evaluated at select time (ownership moves when locks
-are acquired or a partner block completes), so no per-class containers
-are kept.
+Class membership is read at select time from ``SharePair.owner``
+(ownership moves when locks are acquired or a partner block completes),
+so no per-class containers are kept.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ class OWFScheduler(WarpScheduler):
             # on every select of the paper's headline scheduler.
             blk = w.block
             pair = blk.pair
-            cls = 1 if pair is None else (
-                0 if pair.owner_side() == blk.side else 2)
+            cls = 1 if pair is None else (0 if pair.owner == blk.side else 2)
             if cls < best_cls:
                 best = w
                 best_cls = cls

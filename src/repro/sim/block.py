@@ -53,7 +53,7 @@ class SharePair:
     """
 
     __slots__ = ("resource", "blocks", "reg_group", "spad_group",
-                 "owner_sticky")
+                 "owner_sticky", "owner")
 
     def __init__(self, resource: SharedResource, warps_per_block: int) -> None:
         self.resource = resource
@@ -61,6 +61,13 @@ class SharePair:
         #: Side that first acquired a shared pool; transfers to the
         #: partner when the owning *block* completes (paper Sec. IV-A).
         self.owner_sticky: Optional[int] = None
+        #: Which side currently plays the *owner* role (paper Sec. IV-A):
+        #: ``owner_sticky`` once set; before any acquisition, the older
+        #: (earlier-launched) live block, which is ahead and will acquire
+        #: the shared pool first.  Read on every issue and by every OWF
+        #: ``select``, so it is a field, re-derived by
+        #: :meth:`_update_owner` wherever its inputs change.
+        self.owner = 1
         if resource is SharedResource.REGISTERS:
             self.reg_group: Optional[RegisterShareGroup] = \
                 RegisterShareGroup(warps_per_block)
@@ -77,6 +84,7 @@ class SharePair:
         self.blocks[side] = block
         block.pair = self
         block.side = side
+        self._update_owner()
 
     def detach(self, block: BlockContext) -> None:
         """Remove a completed block, releasing everything it held."""
@@ -94,29 +102,25 @@ class SharePair:
             other = 1 - side
             self.owner_sticky = other if self.blocks[other] is not None \
                 else None
-
-    # ------------------------------------------------------------------
-    def owner_side(self) -> int:
-        """Which side currently plays the *owner* role (paper Sec. IV-A).
-
-        The side that first acquired a shared pool, until its block
-        completes (then ownership transfers to the partner).  Before any
-        acquisition, the older (earlier-launched) live block — it is
-        ahead and will acquire the shared pool first.
-        """
-        if self.owner_sticky is not None:
-            return self.owner_sticky
-        a, b = self.blocks
-        if a is None:
-            return 1
-        if b is None:
-            return 0
-        return 0 if a.launched_cycle <= b.launched_cycle else 1
+        self._update_owner()
 
     def note_acquired(self, side: int) -> None:
         """Record the first shared-pool acquisition (fixes ownership)."""
         if self.owner_sticky is None:
-            self.owner_sticky = side
+            self.owner_sticky = self.owner = side
+
+    # ------------------------------------------------------------------
+    def _update_owner(self) -> None:
+        if self.owner_sticky is not None:
+            self.owner = self.owner_sticky
+            return
+        a, b = self.blocks
+        if a is None:
+            self.owner = 1
+        elif b is None:
+            self.owner = 0
+        else:
+            self.owner = 0 if a.launched_cycle <= b.launched_cycle else 1
 
     def live_blocks(self) -> int:
         """Number of occupied sides."""

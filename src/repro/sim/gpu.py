@@ -189,24 +189,27 @@ class GPU:
 
         self._prologue()
         kinds = [""] * len(sms)
+        # (SM, its stats, its category counters, its index): the objects
+        # live as long as the SM, so the loop reads each once per visit.
+        visits = [(sm, sm.stats, sm._cat_n, i) for i, sm in enumerate(sms)]
+        cats = [sm._cat_n for sm in sms]
+        grid = dispatcher.kernel.grid_blocks  # dispatcher.done, inlined
         cycle = 0
         heap = events._heap  # peeked to skip no-op run_due calls
-        while not dispatcher.done:
+        while dispatcher.completed < grid:
             if heap and heap[0][0] <= cycle:
                 events.run_due(cycle)
-                if dispatcher.done:
+                if dispatcher.completed >= grid:
                     break
             all_zero = True
-            for i, sm in enumerate(sms):
+            for sm, st, c, i in visits:
                 # classify()/account() inlined: this runs once per SM
                 # per simulated cycle.
-                st = sm.stats
-                if sm._cat_n[0] and sm.step(cycle):
+                if c[0] and sm.step(cycle):
                     st.active_cycles += 1
                     kinds[i] = "active"
                     all_zero = False
                     continue
-                c = sm._cat_n
                 if c[1]:
                     st.stall_cycles += 1
                     kinds[i] = "stall"
@@ -219,7 +222,7 @@ class GPU:
                     st.empty_cycles += 1
                     kinds[i] = "empty"
             cycle += 1
-            if all_zero and not any(sm._cat_n[0] for sm in sms):
+            if all_zero and not any(c[0] for c in cats):
                 nxt = events.next_cycle()
                 if nxt is None:
                     raise SimulationDeadlock(self._deadlock_report(cycle))

@@ -6,10 +6,14 @@ most one instruction per cycle from its warp partition
 LD/ST port (one memory instruction per SM per cycle).  Warps are in-order
 with a per-register scoreboard; ALU/SFU results are pipelined.
 
-All of the paper's run-time machinery lives in :meth:`SMCore._try_issue`:
-the Fig. 3 register access check, the Fig. 4 scratchpad access check, the
-busy-wait on shared-pool locks, and the Sec. IV-C Dyn gate for non-owner
-memory instructions.
+An issue is one pass through :meth:`SMCore.step`: the scheduler picks a
+warp, a *gate* decides whether the instruction may retire this cycle,
+and one retire tail does the bookkeeping.  All of the paper's run-time
+machinery lives in the gate, :meth:`SMCore._gate`: the Fig. 3 register
+access check, the Fig. 4 scratchpad access check, the busy-wait on
+shared-pool locks, and the Sec. IV-C Dyn gate for non-owner memory
+instructions.  A compute instruction that no check can stop skips the
+gate (see :meth:`SMCore.step`).
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from repro.core.dynwarp import DynWarpController
 from repro.core.liverange import SharedLiveness
 from repro.core.sharing import SharedResource
 from repro.events import EventQueue
+from repro.isa.instructions import Instr
 from repro.isa.kernel import Kernel
-from repro.isa.opcodes import Op, op_group
+from repro.isa.opcodes import GROUPS, Op, op_group
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.request import AddressMap, coalesce_lines
 from repro.obs.sink import NULL_SINK, ObsSink
@@ -48,9 +53,17 @@ _DYN_COOLDOWN = 64
 #: Extra cycles per additional scratchpad bank-conflict way.
 _BANK_CONFLICT = 8
 
-#: op → functional group (kept for the reference core / tracers; the
-#: fast core reads the precomputed ``Instr.group`` attribute instead).
+#: op → functional group (kept for the reference core; the fast core
+#: reads the precomputed group code ``Instr.gcode`` instead).
 _GROUP: dict[Op, str] = {op: op_group(op) for op in Op}
+
+#: Group codes (``Instr.gcode``, an index into ``GROUPS``).  Codes below
+#: ``_N_COMPUTE`` are the compute groups, alu and sfu.
+_N_COMPUTE = 2
+_G_GLOBAL = GROUPS.index("global")
+_G_SHARED = GROUPS.index("shared")
+_G_BAR = GROUPS.index("bar")
+_G_EXIT = GROUPS.index("exit")
 
 _STALL_STATES = frozenset({WarpState.BLOCK_SB, WarpState.BLOCK_MEM,
                            WarpState.BLOCK_RETRY})
@@ -108,6 +121,18 @@ class SMCore:
         self.l1 = hierarchy.l1[sm_id]
         self.amap = amap
         self.sharing = sharing
+        #: Result latency of each compute group, indexed by group code
+        #: (the ``LatencyConfig`` field named after the group).
+        self._compute_lat = tuple(getattr(self.lat, g)
+                                  for g in GROUPS[:_N_COMPUTE])
+        #: Fig. 3 threshold ``Rw·t`` while register sharing is active;
+        #: without it every register is private, so no register index
+        #: reaches the bound and the Fig. 3 check never fires.
+        self._private_regs = (
+            sharing.private_regs
+            if sharing is not None
+            and sharing.resource is SharedResource.REGISTERS
+            else kernel.regs_per_thread)
         self.dyn = dyn
         #: Live-range tables for the early-release extension (None = off).
         self.liveness = liveness
@@ -197,7 +222,7 @@ class SMCore:
         issue), so a still-valid wake deterministically lands in the
         ``e <= cycle + 1`` branch and the queue sets it READY directly.
         """
-        # warp.earliest_issue() inlined: one call per issue and retry.
+        # warp.earliest_issue() inlined: one call per wake and retry.
         e = 0
         rr = warp.reg_ready
         for r in warp.instr.regs:
@@ -254,6 +279,20 @@ class SMCore:
         ``n_ready`` gates each scheduler, so a partition with no READY
         warp costs no scan; after a memory issue the scheduler is asked
         only for warps that do not need the LD/ST port.
+
+        A compute (alu/sfu) instruction enters :meth:`_gate` only when
+        the Fig. 3 check can fire: register sharing is on (otherwise
+        ``_private_regs`` is the kernel's register count, above every
+        index), the block is paired and ``max_reg >= Rw·t``.  The Dyn gate and the Fig. 4
+        check concern memory instructions only, so nothing else could
+        stop it, and its one side effect is the destination latency.
+
+        Every issue then runs the retire tail below.  The issuing warp
+        is still READY there: it was selected READY, and nothing in the
+        gate or the tail before the readiness update moves it (lock
+        releases wake only BLOCK_LOCK warps).  So readiness only has to
+        handle the blocking outcomes; ``_set_state(READY)`` would be a
+        no-op.
         """
         self.now = cycle
         port_free = True
@@ -264,12 +303,72 @@ class SMCore:
                 w = sched.select(port_free)
                 if w is None:
                     break
-                if self._try_issue(w, cycle, sched):
-                    issued += 1
+                ins = w.instr
+                code = ins.gcode
+                if code < _N_COMPUTE:
+                    if (ins.max_reg >= self._private_regs
+                            and w.block.pair is not None
+                            and not self._gate(w, ins, code, cycle)):
+                        continue  # blocked on the shared register pool
+                    t = cycle + self._compute_lat[code]
+                    rr = w.reg_ready
+                    for r in ins.dst:
+                        rr[r] = t
+                elif self._gate(w, ins, code, cycle):
                     port_free = self._mem_port_free
+                else:
+                    # The warp blocked (left the READY state); give the
+                    # scheduler another chance this cycle.
+                    continue
+
+                # --- retire tail ---
+                w.issued += 1
+                stats = self.stats
+                stats.instructions += 1
+                if self._obs_on:
+                    self.obs.issued(self.sm_id, sched.sched_id, w, cycle)
+                block = w.block
+                pair = block.pair
+                if pair is None:
+                    stats.issued_unshared += 1
+                elif pair.owner == block.side:
+                    stats.issued_owner += 1
+                else:
+                    stats.issued_nonowner += 1
+                sched.on_issued(w)
+                issued += 1
+                if code == _G_EXIT:
+                    self._finish_warp(w, cycle)
                     break
-                # otherwise the warp blocked (left the READY state);
-                # give the scheduler another chance this cycle.
+                # warp.advance(), its same-segment case inlined.
+                instrs = w._instrs
+                pc = w._pc + 1
+                if pc < len(instrs):
+                    w._pc = pc
+                    w.instr = nxt = instrs[pc]
+                    w.pend_valid = False
+                else:
+                    w.advance()
+                    nxt = w.instr
+                if self.liveness is not None:
+                    self._maybe_early_release(w)
+                if code == _G_BAR:
+                    self._arrive_at_barrier(w, block, cycle)
+                    break
+                # _update_readiness() for a READY warp, inlined.
+                e = 0
+                rr = w.reg_ready
+                for r in nxt.regs:
+                    v = rr[r]
+                    if v > e:
+                        e = v
+                if e > cycle + 1:
+                    if e >= REG_PENDING:
+                        self._set_state(w, _BLOCK_MEM)
+                    else:
+                        self._set_state(w, _BLOCK_SB)
+                        self.events.push_wake(e, self, w)
+                break
         return issued
 
     # ------------------------------------------------------------------
@@ -301,17 +400,23 @@ class SMCore:
                 return True
         return False
 
-    def _try_issue(self, warp: WarpContext, cycle: int,
-                   sched: WarpScheduler) -> bool:
-        ins = warp.instr
-        grp = ins.group
+    def _gate(self, warp: WarpContext, ins: Instr, code: int,
+              cycle: int) -> bool:
+        """The issue half before retirement: access checks and effects.
+
+        Runs the Dyn gate, the Fig. 3 and Fig. 4 checks and the memory
+        side effects (a compute instruction's destination latency is
+        set by :meth:`step`).  Returns True when the warp may retire the
+        instruction this cycle; False when it blocked (and left the
+        READY state) instead.
+        """
         block = warp.block
         pair = block.pair
         stats = self.stats
 
         # --- Dyn gate (Sec. IV-C): non-owner global memory only ---
-        if (self.dyn is not None and grp == "global" and pair is not None
-                and warp.owf_class() == 2):
+        if (self.dyn is not None and code == _G_GLOBAL and pair is not None
+                and pair.owner != block.side):
             if (not self.dyn.allow(self.sm_id)
                     and not self._dyn_critical(warp)):
                 stats.dyn_refusals += 1
@@ -323,48 +428,21 @@ class SMCore:
                 return False
 
         # --- register sharing access check (Fig. 3) ---
-        if (self.sharing is not None
-                and self.sharing.resource is SharedResource.REGISTERS
-                and pair is not None):
-            pr = self.sharing.private_regs
-            if ins.max_reg >= pr:
-                g = pair.reg_group
-                assert g is not None
-                if not g.holds(block.side, warp.slot):
-                    if g.try_acquire(block.side, warp.slot):
-                        stats.lock_acquires += 1
-                        pair.note_acquired(block.side)
-                    else:
-                        stats.lock_waits += 1
-                        self._set_state(warp, _BLOCK_LOCK)
-                        self._lock_blocked.append(warp)
-                        return False
-
-        # --- scratchpad sharing access check (Fig. 4) ---
-        smem_off = 0
-        if grp == "shared":
-            m = ins.mem
-            assert m is not None
-            smem_off = (m.offset if m.wrap == 0
-                        else (m.offset + warp.iter_idx * m.stride) % m.wrap)
-            if (self.sharing is not None
-                    and self.sharing.resource is SharedResource.SCRATCHPAD
-                    and pair is not None
-                    and smem_off >= self.sharing.private_smem):
-                g = pair.spad_group
-                assert g is not None
-                if not g.holds(block.side):
-                    if g.try_acquire(block.side):
-                        stats.lock_acquires += 1
-                        pair.note_acquired(block.side)
-                    else:
-                        stats.lock_waits += 1
-                        self._set_state(warp, _BLOCK_LOCK)
-                        self._lock_blocked.append(warp)
-                        return False
+        if pair is not None and ins.max_reg >= self._private_regs:
+            g = pair.reg_group
+            assert g is not None
+            if not g.holds(block.side, warp.slot):
+                if g.try_acquire(block.side, warp.slot):
+                    stats.lock_acquires += 1
+                    pair.note_acquired(block.side)
+                else:
+                    stats.lock_waits += 1
+                    self._set_state(warp, _BLOCK_LOCK)
+                    self._lock_blocked.append(warp)
+                    return False
 
         # --- execute side effects ---
-        if grp == "global":
+        if code == _G_GLOBAL:
             m = ins.mem
             assert m is not None
             if ins.op is Op.LDG:
@@ -419,59 +497,48 @@ class SMCore:
                 self.hierarchy.store(self.sm_id, lines, cycle)
             self._mem_port_free = False
             stats.mem_instructions += 1
-        elif grp == "shared":
+        elif code == _G_SHARED:
             m = ins.mem
             assert m is not None
+            # --- scratchpad sharing access check (Fig. 4) ---
+            smem_off = (m.offset if m.wrap == 0
+                        else (m.offset + warp.iter_idx * m.stride) % m.wrap)
+            if (self.sharing is not None
+                    and self.sharing.resource is SharedResource.SCRATCHPAD
+                    and pair is not None
+                    and smem_off >= self.sharing.private_smem):
+                g = pair.spad_group
+                assert g is not None
+                if not g.holds(block.side):
+                    if g.try_acquire(block.side):
+                        stats.lock_acquires += 1
+                        pair.note_acquired(block.side)
+                    else:
+                        stats.lock_waits += 1
+                        self._set_state(warp, _BLOCK_LOCK)
+                        self._lock_blocked.append(warp)
+                        return False
             # An n-way bank conflict serialises into n bank accesses.
             lat = self.lat.scratchpad + (m.conflicts - 1) * _BANK_CONFLICT
             for r in ins.dst:
                 warp.reg_ready[r] = cycle + lat
             self._mem_port_free = False
             stats.mem_instructions += 1
-        elif grp == "alu":
-            for r in ins.dst:
-                warp.reg_ready[r] = cycle + self.lat.alu
-        elif grp == "sfu":
-            for r in ins.dst:
-                warp.reg_ready[r] = cycle + self.lat.sfu
-
-        # --- retire bookkeeping ---
-        warp.issued += 1
-        stats.instructions += 1
-        if self._obs_on:
-            self.obs.issued(self.sm_id, sched.sched_id, warp, cycle)
-        cls = warp.owf_class()
-        if cls == 0:
-            stats.issued_owner += 1
-        elif cls == 1:
-            stats.issued_unshared += 1
-        else:
-            stats.issued_nonowner += 1
-        sched.on_issued(warp)
-
-        if grp == "exit":
-            self._finish_warp(warp, cycle)
-            return True
-
-        warp.advance()
-        if self.liveness is not None:
-            self._maybe_early_release(warp)
-
-        if grp == "bar":
-            block.bar_count += 1
-            if block.bar_count == block.n_warps:
-                block.bar_count = 0
-                stats.barriers += 1
-                for w2 in block.warps:
-                    if w2.state is WarpState.BLOCK_BAR:
-                        self._update_readiness(w2, cycle)
-                self._update_readiness(warp, cycle)
-            else:
-                self._set_state(warp, WarpState.BLOCK_BAR)
-            return True
-
-        self._update_readiness(warp, cycle)
         return True
+
+    def _arrive_at_barrier(self, warp: WarpContext, block: BlockContext,
+                           cycle: int) -> None:
+        """``warp`` retired a BAR: release the block or wait for it."""
+        block.bar_count += 1
+        if block.bar_count == block.n_warps:
+            block.bar_count = 0
+            self.stats.barriers += 1
+            for w2 in block.warps:
+                if w2.state is WarpState.BLOCK_BAR:
+                    self._update_readiness(w2, cycle)
+            self._update_readiness(warp, cycle)
+        else:
+            self._set_state(warp, WarpState.BLOCK_BAR)
 
     # ------------------------------------------------------------------
     def _maybe_early_release(self, warp: WarpContext) -> None:

@@ -103,7 +103,7 @@ class WarpContext:
         #: re-coalescing.  ``pend_gen`` snapshots the L1 mutation
         #: generation at the failed attempt: if it is unchanged at retry
         #: time, the L1's admission decision is provably identical and
-        #: the reject is replayed in O(1) (see SMCore._try_issue).
+        #: the reject is replayed in O(1) (see SMCore._gate).
         self.pend_valid = False
         self.pend_lines: tuple[int, ...] = ()
         self.pend_gen = -1
@@ -165,11 +165,6 @@ class WarpContext:
                 ready = v
         return ready
 
-    def bump_token(self) -> int:
-        """Invalidate outstanding timed wakes; returns the new token."""
-        self.wake_token += 1
-        return self.wake_token
-
     # ------------------------------------------------------------------
     # classification (paper: unshared / shared owner / shared non-owner)
     # ------------------------------------------------------------------
@@ -178,12 +173,7 @@ class WarpContext:
         pair = self.block.pair
         if pair is None:
             return 1
-        return 0 if pair.owner_side() == self.block.side else 2
-
-    @property
-    def is_shared(self) -> bool:
-        """True when this warp's block participates in a sharing pair."""
-        return self.block.pair is not None
+        return 0 if pair.owner == self.block.side else 2
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Warp id={self.dynamic_id} blk={self.block.linear_id} "

@@ -60,16 +60,16 @@ class TestOwnership:
         p = SharePair(REG, 4)
         p.attach(blk(0, launched=0), 0)
         p.attach(blk(1, launched=5), 1)
-        assert p.owner_side() == 0
+        assert p.owner == 0
 
     def test_acquisition_fixes_ownership(self):
         p = SharePair(REG, 4)
         p.attach(blk(0, launched=0), 0)
         p.attach(blk(1, launched=5), 1)
         p.note_acquired(1)  # the younger block touched shared first
-        assert p.owner_side() == 1
+        assert p.owner == 1
         p.note_acquired(0)  # later acquisitions don't steal ownership
-        assert p.owner_side() == 1
+        assert p.owner == 1
 
     def test_ownership_transfers_on_owner_completion(self):
         p = SharePair(SPAD, 4)
@@ -78,7 +78,7 @@ class TestOwnership:
         p.attach(b, 1)
         p.note_acquired(0)
         p.detach(a)  # owner block completes
-        assert p.owner_side() == 1  # paper Sec. IV-A transfer
+        assert p.owner == 1  # paper Sec. IV-A transfer
 
     def test_new_partner_is_nonowner(self):
         p = SharePair(SPAD, 4)
@@ -89,7 +89,7 @@ class TestOwnership:
         p.detach(a)
         c = blk(2, launched=10)
         p.attach(c, 0)
-        assert p.owner_side() == 1  # survivor owns; c is non-owner
+        assert p.owner == 1  # survivor owns; c is non-owner
 
     def test_detach_nonowner_keeps_owner(self):
         p = SharePair(REG, 4)
@@ -98,7 +98,7 @@ class TestOwnership:
         p.attach(b, 1)
         p.note_acquired(0)
         p.detach(b)
-        assert p.owner_side() == 0
+        assert p.owner == 0
 
     def test_detach_clears_locks(self):
         p = SharePair(REG, 4)
@@ -115,7 +115,7 @@ class TestOwnership:
         p = SharePair(REG, 4)
         b = blk(1)
         p.attach(b, 1)
-        assert p.owner_side() == 1
+        assert p.owner == 1
 
     def test_spad_detach_releases_region(self):
         p = SharePair(SPAD, 4)

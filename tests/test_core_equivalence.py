@@ -13,18 +13,24 @@ The full matrix (56 cells × 2 cores) runs in ``test_no_drift_*``; a
 smaller slice re-runs under ``sanitize=True`` to prove the fast core
 upholds the DESIGN.md §6 invariants, not just the final counters, and
 another is traced on both cores to pin the issue order itself.
+``TestGeneratedKernels`` compares the two cores directly on seeded
+random kernels, outside the curated apps the goldens cover.
 """
 
 import json
 
 import pytest
 
+from repro.config import GPUConfig
+from repro.core.sharing import SharedResource, SharingSpec, plan_sharing
+from repro.core.unroll import reorder_registers
 from repro.harness.golden import (CORE_APPS, check_core_goldens,
                                   core_config, core_key,
                                   core_matrix, golden_core_path)
-from repro.harness.runner import run
+from repro.harness.runner import run, shared, unshared
 from repro.sim.trace import TraceRecorder
 from repro.workloads.apps import APPS
+from repro.workloads.generator import GeneratorParams, generate_kernel
 
 
 class TestGoldenFile:
@@ -105,6 +111,93 @@ class TestIssueOrder:
             logs.append(tr.events)
         assert logs[0] == logs[1], \
             f"issue order diverged on {core_key(app, mode)}"
+
+
+#: Register-heavy generated kernels (4-8 warps, 24-64 registers per
+#: thread), so register sharing is usually enabled, with loops kept short.
+_GEN_PARAMS = GeneratorParams(min_warps=4, max_warps=8, min_regs=24,
+                              max_regs=64, max_loops=2, max_loop_trip=8,
+                              max_body=6)
+_REG = SharedResource.REGISTERS
+_SPAD = SharedResource.SCRATCHPAD
+
+#: (kernel seed, mode, clusters).  The seeds were picked so that every
+#: sharing cell has a sharing plan, and the slice covers the
+#: edges of the fast core's compute fast path: compute instructions on
+#: both sides of Rw·t at t = 0.1 and 0.5, early release, Dyn, the
+#: stateful two-level ``on_issued``, GTO, scratchpad sharing, unshared
+#: blocks, and 1 and 2 clusters (``test_slice_covers_fast_path_edges``).
+_GEN_CELLS = [
+    (20, shared(_REG, "lrr", t=0.1), 1),
+    (5, shared(_REG, "owf", t=0.5, unroll=True, dyn=True), 1),
+    (5, shared(_REG, "owf", t=0.1, unroll=True, dyn=True), 2),
+    (17, shared(_REG, "gto", t=0.1, unroll=True), 1),
+    (8, shared(_REG, "two_level", t=0.1), 2),
+    (26, shared(_REG, "lrr", t=0.1, early_release=True), 1),
+    (0, shared(_REG, "owf", t=0.1, unroll=True, early_release=True), 2),
+    (28, shared(_REG, "two_level", t=0.5, unroll=True, dyn=True), 1),
+    (27, shared(_REG, "gto", t=0.1, early_release=True), 2),
+    (11, shared(_SPAD, "owf"), 1),
+    (36, shared(_SPAD, "two_level", t=0.5), 2),
+    (29, shared(_SPAD, "gto"), 1),
+    (3, unshared("gto"), 2),
+    (18, unshared("two_level"), 1),
+    (10, unshared("owf"), 1),
+    (2, unshared("lrr"), 2),
+]
+
+
+def _gen_cell(seed, mode, clusters):
+    cfg = GPUConfig().scaled(num_clusters=clusters)
+    return generate_kernel(seed, _GEN_PARAMS, config=cfg), cfg
+
+
+class TestGeneratedKernels:
+    """Fast ≡ reference on seeded generated kernels: equal results and
+    equal issue logs, both cores under the sanitizer."""
+
+    def test_slice_covers_fast_path_edges(self):
+        below, above = set(), set()
+        for seed, mode, clusters in _GEN_CELLS:
+            if mode.sharing is None:
+                continue
+            kernel, cfg = _gen_cell(seed, mode, clusters)
+            if mode.unroll:
+                kernel = reorder_registers(kernel)
+            plan = plan_sharing(kernel, cfg, SharingSpec(mode.sharing,
+                                                         mode.t))
+            assert plan.enabled, f"seed {seed}: no {mode.label} plan"
+            if mode.sharing is _SPAD:
+                continue
+            pr = plan.private_regs_per_thread
+            for seg in kernel.segments:
+                for ins in seg.instrs:
+                    if ins.gcode < 2:  # alu, sfu
+                        (below if ins.max_reg < pr else above).add(mode.t)
+        assert below == above == {0.1, 0.5}
+        modes = [m for _, m, _ in _GEN_CELLS]
+        assert any(m.early_release for m in modes)
+        assert any(m.dyn for m in modes)
+        assert {m.scheduler for m in modes} == {"lrr", "gto", "two_level",
+                                                "owf"}
+        assert {m.sharing for m in modes} == {None, _REG, _SPAD}
+        assert {c for _, _, c in _GEN_CELLS} == {1, 2}
+
+    @pytest.mark.parametrize(
+        "seed,mode,clusters", _GEN_CELLS,
+        ids=[f"gen{s}-{m.label}-t{m.t}-{c}cl" for s, m, c in _GEN_CELLS])
+    def test_cores_agree(self, seed, mode, clusters):
+        kernel, cfg = _gen_cell(seed, mode, clusters)
+        results, logs = [], []
+        for core in ("fast", "reference"):
+            tr = TraceRecorder()
+            res = run(kernel, mode, config=cfg, waves=3.0, sanitize=True,
+                      core=core, obs=tr)
+            assert len(tr.events) == res.instructions
+            results.append(res.to_dict())
+            logs.append(tr.events)
+        assert results[0] == results[1], "fast and reference results differ"
+        assert logs[0] == logs[1], "fast and reference issue order differ"
 
 
 class TestCoreSelection:

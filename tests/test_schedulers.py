@@ -12,8 +12,7 @@ from repro.sim.warp import WarpContext, WarpState
 class StubPair:
     """A sharing pair whose owner is side 0."""
 
-    def owner_side(self):
-        return 0
+    owner = 0
 
 
 PAIR = StubPair()

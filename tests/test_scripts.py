@@ -1,4 +1,5 @@
-"""The EXPERIMENTS.md tooling in scripts/ (log parsing)."""
+"""The EXPERIMENTS.md tooling in scripts/ (log parsing) and the
+differential mode of the chaos fuzz script."""
 
 import importlib.util
 from pathlib import Path
@@ -15,6 +16,7 @@ def _load(name):
 
 
 build_mod = _load("build_experiments_md")
+chaos_mod = _load("chaos_fuzz")
 
 HARNESS_LOG = """== Fig 1: resident thread blocks and resource waste ==
 app       blocks
@@ -72,3 +74,23 @@ class TestBuildExperimentsMd:
         table6 = out[out.index("## table6"):]
         assert "claim PASS: resident blocks equal the paper's table" in \
             table6
+
+
+class TestChaosDifferential:
+    ARGS = ["--differential", "--kernels", "1", "--jobs", "1"]
+
+    def test_cores_agree(self, capsys):
+        assert chaos_mod.main(self.ARGS) == 0
+        assert "6/6 runs agree" in capsys.readouterr().out
+
+    def test_difference_fails(self, monkeypatch, capsys):
+        real = chaos_mod.run_reference
+
+        def skewed(spec):
+            d = real(spec)
+            d["cycles"] += 1
+            return d
+
+        monkeypatch.setattr(chaos_mod, "run_reference", skewed)
+        assert chaos_mod.main(self.ARGS) == 1
+        assert "fast core != reference core" in capsys.readouterr().err

@@ -68,11 +68,6 @@ class TestScoreboard:
         w.reg_ready[w.current_instr.src[0]] = REG_PENDING
         assert w.earliest_issue() >= REG_PENDING
 
-    def test_bump_token_invalidates(self):
-        w = warp(kernel())
-        t0 = w.wake_token
-        assert w.bump_token() == t0 + 1
-
 
 class TestVariance:
     def test_zero_variance_identical_repeats(self):
@@ -116,6 +111,3 @@ class TestVariance:
 class TestOwfClass:
     def test_unshared_block_is_class_1(self):
         assert warp(kernel()).owf_class() == 1
-
-    def test_is_shared_false_without_pair(self):
-        assert not warp(kernel()).is_shared
