@@ -223,7 +223,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     cfg = GPUConfig().scaled(num_clusters=args.clusters)
     mode = _MODES[args.mode]()
     engine = Engine(**engine_kwargs(args), fail_fast=args.fail_fast,
-                    sanitize=args.sanitize or None)
+                    sanitize=args.sanitize)
     spec = RunSpec.create(target, mode, config=cfg,
                           scale=args.scale, waves=args.waves,
                           max_cycles=args.max_cycles,

@@ -85,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     cfg = GPUConfig().scaled(num_clusters=args.clusters)
     engine = Engine(**engine_kwargs(args), fail_fast=args.fail_fast,
-                    sanitize=args.sanitize or None,
+                    sanitize=args.sanitize,
                     max_cycles=args.max_cycles,
                     metrics=args.metrics, trace_dir=args.trace)
     ids = sorted(EXPERIMENTS) if args.experiment in ("all", "claims") \

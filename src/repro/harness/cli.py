@@ -6,14 +6,17 @@ one-to-one onto :class:`~repro.harness.engine.Engine` arguments.  Flags
 whose meaning differs per CLI (``--max-cycles``, ``--trace``,
 ``--metrics``, ``--sanitize``, ``--fail-fast``) stay with their CLI but
 reuse the range validators below, so a nonsense value exits 2 with an
-argparse message before any run starts.
+argparse message before any run starts.  A malformed ``REPRO_JOBS``
+(the ``--jobs`` default) exits 2 the same way, in :func:`engine_kwargs`.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import sys
 
+from repro.harness.engine import default_jobs
 from repro.harness.resilience import RetryPolicy
 
 __all__ = ["positive_int", "positive_float", "add_engine_args",
@@ -66,7 +69,15 @@ def add_engine_args(parser: argparse.ArgumentParser) -> None:
 
 def engine_kwargs(args: argparse.Namespace) -> dict:
     """:class:`~repro.harness.engine.Engine` keyword arguments for the
-    flags :func:`add_engine_args` declared."""
+    flags :func:`add_engine_args` declared.  Without ``--jobs`` the
+    engine reads ``REPRO_JOBS``; a malformed value prints one line to
+    stderr and exits 2 here, before any run starts."""
+    if args.jobs is None:
+        try:
+            default_jobs()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
     return {"jobs": args.jobs, "cache": not args.no_cache,
             "cache_dir": args.cache_dir, "timeout": args.timeout,
             "retry": (RetryPolicy(max_attempts=args.retries)

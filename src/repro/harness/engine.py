@@ -13,11 +13,10 @@ deduplication and persistence of simulations:
   the simulation-relevant sources), so cached results are invalidated
   automatically when the simulator changes.
 * :class:`Engine` — executes batches of RunSpecs.  Identical specs in a
-  batch are simulated once; with ``jobs > 1`` unique specs run on a
-  ``ProcessPoolExecutor``; at ``jobs == 1`` a deterministic in-process
-  loop keeps results bit-identical to the historical sequential path
-  (the simulations themselves are deterministic, so the parallel path
-  produces the same bits — only wall-clock changes).
+  batch are simulated once; one scheduling loop runs the unique specs,
+  on a ``ProcessPoolExecutor`` with ``jobs > 1`` and in this process
+  at ``jobs == 1`` (the simulations are deterministic, so both produce
+  the same bits — only wall-clock changes).
 * :class:`ResultCache` — a content-addressed on-disk store
   (``~/.cache/repro`` by default, override with ``cache_dir=`` /
   ``REPRO_CACHE_DIR``) keyed by ``RunSpec.digest()``; entries hold the
@@ -30,7 +29,8 @@ deduplication and persistence of simulations:
   position in the batch instead of aborting the whole batch; transient
   worker failures (``BrokenProcessPool``, injected crashes) retry with
   exponential backoff under a :class:`RetryPolicy`; ``timeout=`` arms
-  a wall-clock watchdog that kills hung workers; ``fail_fast=True``
+  a wall-clock budget (a hung pool worker is killed, and a run that
+  finishes over budget fails); ``fail_fast=True``
   restores the historical abort-on-first-error behaviour;
   ``sanitize=True`` runs every simulation under the runtime invariant
   sanitizer (and bypasses the cache so the checks execute);
@@ -38,9 +38,8 @@ deduplication and persistence of simulations:
   :class:`~repro.harness.faults.FaultInjector` for chaos testing.
 
 Environment knobs: ``REPRO_JOBS`` (worker count when ``jobs`` is not
-given), ``REPRO_CACHE_DIR`` (cache location), ``REPRO_NO_CACHE=1``
-(disable the disk cache globally), ``REPRO_SANITIZE=1`` (sanitizer
-default-on).  See docs/engine.md and docs/resilience.md.
+given) and ``REPRO_CACHE_DIR`` (cache location).  See docs/engine.md
+and docs/resilience.md.
 """
 
 from __future__ import annotations
@@ -311,8 +310,8 @@ def _execute_timed(spec: RunSpec, attempt: int = 1,
                    hard_faults: bool = False) -> tuple[RunResult, float]:
     """Worker entry point (top-level so it pickles).
 
-    The elapsed time covers fault injection too, so an injected hang is
-    visible to the in-process post-hoc timeout check.
+    The elapsed time covers fault injection too, so an injected hang
+    counts against the run's timeout budget.
     """
     t0 = time.perf_counter()
     if faults is not None:
@@ -334,20 +333,18 @@ class ResultCache:
     once instead of re-parsed forever.
 
     The quarantine directory is bounded: after each move, entries are
-    pruned oldest-first until at most :attr:`quarantine_max_files`
-    files totalling at most :attr:`quarantine_max_bytes` remain
+    pruned oldest-first until at most :attr:`QUARANTINE_MAX_FILES`
+    files totalling at most :attr:`QUARANTINE_MAX_BYTES` remain
     (pruned files are counted in :attr:`pruned` and surface in the
     engine footer).  Post-mortem evidence is useful; an unbounded
     graveyard is not.
     """
 
-    #: Default quarantine bounds (overridable per instance).
+    #: Quarantine bounds.
     QUARANTINE_MAX_FILES = 32
     QUARANTINE_MAX_BYTES = 4 << 20
 
-    def __init__(self, root: str | Path | None = None, *,
-                 quarantine_max_files: int | None = None,
-                 quarantine_max_bytes: int | None = None) -> None:
+    def __init__(self, root: str | Path | None = None) -> None:
         self.root = Path(root if root is not None
                          else os.environ.get("REPRO_CACHE_DIR")
                          or Path.home() / ".cache" / "repro")
@@ -355,12 +352,6 @@ class ResultCache:
         self.quarantined = 0
         #: Old quarantine files deleted to stay within the bounds.
         self.pruned = 0
-        self.quarantine_max_files = (
-            quarantine_max_files if quarantine_max_files is not None
-            else self.QUARANTINE_MAX_FILES)
-        self.quarantine_max_bytes = (
-            quarantine_max_bytes if quarantine_max_bytes is not None
-            else self.QUARANTINE_MAX_BYTES)
 
     def path(self, digest: str) -> Path:
         """Entry location for a digest."""
@@ -417,8 +408,8 @@ class ResultCache:
         total = sum(size for _m, size, _p in entries)
         removed = 0
         for _mtime, size, path in entries:      # oldest first
-            if (count <= self.quarantine_max_files
-                    and total <= self.quarantine_max_bytes):
+            if (count <= self.QUARANTINE_MAX_FILES
+                    and total <= self.QUARANTINE_MAX_BYTES):
                 break
             try:
                 path.unlink()
@@ -490,11 +481,32 @@ class RunEvent:
 
 def default_jobs() -> int:
     """Worker count when ``jobs`` is not given: ``REPRO_JOBS``, else
-    the CPU count."""
+    the CPU count.  A ``REPRO_JOBS`` that is not an integer >= 1
+    raises ``ValueError`` naming the variable."""
     env = os.environ.get("REPRO_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not (env.strip().isdecimal() and int(env) >= 1):
+        raise ValueError(f"REPRO_JOBS must be an integer >= 1, got {env!r}")
+    return int(env)
+
+
+class _InlineExecutor:
+    """The executor of :meth:`Engine._schedule` when there is no pool:
+    ``submit`` runs the call at once, in this process, and returns its
+    settled future."""
+
+    def submit(self, fn: Callable, /, *args) -> Future:
+        fut: Future = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
+
+    def shutdown(self, wait: bool = True, *,
+                 cancel_futures: bool = False) -> None:
+        """Nothing to stop: no call outlives its ``submit``."""
 
 
 class Engine:
@@ -504,20 +516,20 @@ class Engine:
     ----------
     jobs:
         Worker processes.  ``None`` → ``REPRO_JOBS`` or ``os.cpu_count()``;
-        ``1`` → deterministic in-process execution (no pool).
+        ``1`` → every simulation runs in this process (no pool).
     cache:
         ``True`` (default) enables the content-addressed disk cache,
         ``False`` disables it; a :class:`ResultCache` instance is used
-        as-is.  ``REPRO_NO_CACHE=1`` force-disables.
+        as-is.
     cache_dir:
         Cache root (default ``REPRO_CACHE_DIR`` or ``~/.cache/repro``).
     progress:
         Default per-completion callback receiving a :class:`RunEvent`.
     timeout:
         Per-run wall-clock budget in seconds (``None`` → unlimited).
-        On the pool a hung worker is killed and the pool rebuilt; at
-        ``jobs == 1`` the check is post-hoc (the run finishes, then is
-        recorded as a timeout failure if it overran).
+        A run that finishes over budget is a timeout failure; on the
+        pool a run still going at the budget is killed with its pool,
+        which is rebuilt.
     retry:
         :class:`RetryPolicy` governing which failure categories retry
         and with what backoff.  Default: crashes retry up to 3 attempts.
@@ -528,7 +540,7 @@ class Engine:
     sanitize:
         Run every simulation under the runtime invariant sanitizer
         (DESIGN.md §6).  Sanitized runs bypass the cache so the checks
-        actually execute.  Default: ``REPRO_SANITIZE=1``.
+        actually execute.
     faults:
         Optional deterministic :class:`FaultInjector` for chaos testing.
     max_cycles:
@@ -552,7 +564,7 @@ class Engine:
                  timeout: float | None = None,
                  retry: RetryPolicy | None = None,
                  fail_fast: bool = False,
-                 sanitize: bool | None = None,
+                 sanitize: bool = False,
                  faults: FaultInjector | None = None,
                  max_cycles: int | None = None,
                  metrics: bool = False,
@@ -560,7 +572,7 @@ class Engine:
         self.jobs = max(1, jobs) if jobs is not None else default_jobs()
         if isinstance(cache, ResultCache):
             self.cache: ResultCache | None = cache
-        elif cache and os.environ.get("REPRO_NO_CACHE") != "1":
+        elif cache:
             self.cache = ResultCache(cache_dir)
         else:
             self.cache = None
@@ -568,8 +580,7 @@ class Engine:
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.fail_fast = fail_fast
-        self.sanitize = (sanitize if sanitize is not None
-                         else os.environ.get("REPRO_SANITIZE") == "1")
+        self.sanitize = sanitize
         self.faults = faults
         self.max_cycles = max_cycles
         self.metrics = metrics
@@ -586,7 +597,6 @@ class Engine:
     def run_batch(self, specs: Sequence[RunSpec], *,
                   progress: Callable[[RunEvent], None] | None = None,
                   cancel: "_CancelToken | None" = None,
-                  on_complete: Callable[[RunEvent], None] | None = None,
                   pool: bool = False
                   ) -> list[RunResult | RunFailure]:
         """Execute ``specs``; returns results aligned with the input.
@@ -613,11 +623,11 @@ class Engine:
         the drain primitive the simulation service's graceful shutdown
         is built on: cancelled slots are requeued, completed ones kept.
 
-        ``on_complete`` fires once per unique spec as its slot settles
-        (simulated, cache-served, failed or cancelled) with the same
-        :class:`RunEvent` the ``progress`` callback receives.  The two
-        exist separately so UI progress and durability hooks (the
-        service persists each result the moment it lands) can coexist.
+        ``progress`` (default: the engine's) fires once per unique spec
+        as its slot settles — simulated, cache-served, failed or
+        cancelled — on the calling thread, so it doubles as a
+        durability hook: the service persists each result from it the
+        moment it lands.
 
         ``pool=True`` runs every uncached spec in a worker process, even
         a lone one that would otherwise run in this process.  A caller
@@ -661,13 +671,10 @@ class Engine:
                  elapsed: float) -> None:
             nonlocal done
             done += 1
-            if progress is not None or on_complete is not None:
-                ev = RunEvent(index=done, total=total, spec=unique[d],
-                              result=res, cached=cached, elapsed=elapsed)
-                if progress is not None:
-                    progress(ev)
-                if on_complete is not None:
-                    on_complete(ev)
+            if progress is not None:
+                progress(RunEvent(index=done, total=total, spec=unique[d],
+                                  result=res, cached=cached,
+                                  elapsed=elapsed))
 
         todo: list[str] = []
         for d, spec in unique.items():
@@ -707,16 +714,9 @@ class Engine:
             emit(d, results[d], False, 0.0)
 
         try:
-            if todo and (pool or (len(todo) > 1 and self.jobs > 1)):
-                self._run_pool(todo, unique, record, fail, cancelled,
-                               cancel)
-            else:
-                for i, d in enumerate(todo):
-                    if cancel is not None and cancel.is_set():
-                        for rest in todo[i:]:
-                            cancelled(rest)
-                        break
-                    self._run_inprocess(d, unique[d], record, fail)
+            if todo:
+                self._schedule(todo, unique, record, fail, cancelled, cancel,
+                               pool or (len(todo) > 1 and self.jobs > 1))
         finally:
             if self.cache is not None:
                 self.stats.quarantined = self.cache.quarantined
@@ -742,63 +742,21 @@ class Engine:
         return replace(spec, **changes) if changes else spec
 
     # ------------------------------------------------------------------
-    def _run_inprocess(self, d: str, spec: RunSpec,
-                       record: Callable[[str, RunResult, float], None],
-                       fail: Callable[[str, RunFailure], None]) -> None:
-        """Execute one spec in this process, with retries.
-
-        Fault injection runs in *soft* mode (``InjectedCrash`` is raised
-        instead of killing the process) and the timeout check is
-        post-hoc: the run completes, then is recorded as a timeout
-        failure if it overran the budget.
-        """
-        policy = self.retry
-        attempts = 0
-        while True:
-            attempts += 1
-            t0 = time.perf_counter()
-            try:
-                res, elapsed = _execute_timed(
-                    spec, attempts, self.faults, self.sanitize,
-                    hard_faults=False)
-            except Exception as exc:
-                elapsed = time.perf_counter() - t0
-                category = categorize(exc)
-                if (policy.retryable(category)
-                        and attempts < policy.max_attempts):
-                    self.stats.retries += 1
-                    time.sleep(policy.delay(attempts))
-                    continue
-                if self.fail_fast:
-                    raise
-                fail(d, RunFailure.from_exception(
-                    spec, d, exc, attempts=attempts, elapsed=elapsed))
-                return
-            if self.timeout is not None and elapsed > self.timeout:
-                self.stats.timeouts += 1
-                exc = RunTimeoutError(
-                    f"run exceeded {self.timeout:.3g}s budget "
-                    f"({elapsed:.3g}s elapsed)")
-                if (policy.retryable("timeout")
-                        and attempts < policy.max_attempts):
-                    self.stats.retries += 1
-                    time.sleep(policy.delay(attempts))
-                    continue
-                if self.fail_fast:
-                    raise exc
-                fail(d, RunFailure.from_exception(
-                    spec, d, exc, attempts=attempts, elapsed=elapsed))
-                return
-            record(d, res, elapsed)
-            return
-
-    # ------------------------------------------------------------------
-    def _run_pool(self, todo: list[str], unique: dict[str, RunSpec],
+    def _schedule(self, todo: list[str], unique: dict[str, RunSpec],
                   record: Callable[[str, RunResult, float], None],
                   fail: Callable[[str, RunFailure], None],
-                  cancelled: Callable[[str], None] | None = None,
-                  cancel: "_CancelToken | None" = None) -> None:
-        """Pool scheduler with watchdog, retries and failure isolation.
+                  cancelled: Callable[[str], None],
+                  cancel: "_CancelToken | None",
+                  use_pool: bool) -> None:
+        """The one scheduler: retries, timeouts and failure isolation.
+
+        ``use_pool`` runs the specs on a ``ProcessPoolExecutor``;
+        otherwise an :class:`_InlineExecutor` runs each in this process
+        as it is submitted, with faults injected soft (an injected
+        crash raises instead of killing the process).  Both obey the
+        same rules: a run that finishes over the ``timeout`` budget is
+        a timeout failure, and a run backing off starts at its retry
+        deadline.
 
         Inflight submissions are capped at the worker count so the
         submit time of a future approximates its start time — that is
@@ -819,25 +777,31 @@ class Engine:
         fail_count: dict[str, int] = {}      # failed attempts so far
         not_before: dict[str, float] = {}    # backoff deadlines
         inflight: dict[Future, tuple[str, float]] = {}
-        pool = ProcessPoolExecutor(max_workers=workers)
         tick = 0.05 if self.timeout is not None else 0.2
+
+        def new_executor() -> ProcessPoolExecutor | _InlineExecutor:
+            return (ProcessPoolExecutor(max_workers=workers) if use_pool
+                    else _InlineExecutor())
+
+        executor = new_executor()
 
         def submit(d: str) -> None:
             attempt = fail_count.get(d, 0) + 1
-            fut = pool.submit(_execute_timed, unique[d], attempt,
-                              self.faults, self.sanitize, True)
-            inflight[fut] = (d, time.monotonic())
+            t0 = time.monotonic()  # before an inline run, not after
+            fut = executor.submit(_execute_timed, unique[d], attempt,
+                                  self.faults, self.sanitize, use_pool)
+            inflight[fut] = (d, t0)
 
         def kill_pool() -> None:
-            nonlocal pool
-            for proc in list(getattr(pool, "_processes", {}).values()):
+            nonlocal executor
+            for proc in list(getattr(executor, "_processes", {}).values()):
                 try:
                     proc.terminate()
                 except Exception:
                     pass
-            pool.shutdown(wait=False, cancel_futures=True)
+            executor.shutdown(wait=False, cancel_futures=True)
             inflight.clear()
-            pool = ProcessPoolExecutor(max_workers=workers)
+            executor = new_executor()
 
         def handle_failure(d: str, exc: Exception, elapsed: float) -> None:
             """Retry a blamed failure, or record it as terminal."""
@@ -891,9 +855,12 @@ class Engine:
                         break
                     submit(d)
                 if not inflight:
-                    # Everything runnable is backing off — sleep a beat.
-                    if pending or solo:
-                        time.sleep(tick)
+                    # Everything runnable is backing off: sleep until
+                    # the first deadline of the queue that runs next.
+                    queue = solo or pending
+                    if queue:
+                        wake = min(not_before.get(d, 0.0) for d in queue)
+                        time.sleep(max(0.0, wake - time.monotonic()))
                     continue
 
                 done_set, _ = wait(list(inflight), timeout=tick,
@@ -911,6 +878,12 @@ class Engine:
                         continue
                     except Exception as exc:
                         handle_failure(d, exc, elapsed)
+                        continue
+                    if self.timeout is not None and sim_elapsed > self.timeout:
+                        self.stats.timeouts += 1
+                        handle_failure(d, RunTimeoutError(
+                            f"run exceeded {self.timeout:.3g}s budget "
+                            f"({sim_elapsed:.3g}s elapsed)"), elapsed)
                         continue
                     record(d, res, sim_elapsed)
 
@@ -950,7 +923,7 @@ class Engine:
             # shutdown is instant and joins the executor's management
             # thread (avoids "Exception ignored" atexit noise).  On the
             # fail-fast abort path, don't wait for running simulations.
-            pool.shutdown(wait=not inflight, cancel_futures=True)
+            executor.shutdown(wait=not inflight, cancel_futures=True)
 
 
 _DEFAULT_ENGINE: Engine | None = None

@@ -8,8 +8,8 @@ resilience layer must absorb, deterministically and per-spec:
   pool observes a real ``BrokenProcessPool``; in-process execution
   raises :class:`InjectedCrash` instead (same ``crash`` category).
 * **hang** — the run sleeps ``seconds`` before simulating, tripping
-  the engine's wall-clock watchdog (pool) or post-hoc timeout check
-  (in-process).
+  the engine's timeout: the pool watchdog kills it, and a run in this
+  process fails as over budget when it ends.
 * **error** — an :class:`InjectedError` (plain exception path).
 * **deadlock** — raises :class:`~repro.sim.gpu.SimulationDeadlock`
   with an "injected" report, proving those exceptions serialize into

@@ -19,7 +19,7 @@ the deterministic fault-injection harness that proves them.
 * :class:`BatchReport` — partition of a mixed result list, with a
   one-line summary for CLI footers.
 * :func:`categorize` — exception → failure-category mapping shared by
-  every path (in-process, pool, watchdog).
+  every path (inline or pool executor, watchdog).
 
 Failure categories: ``deadlock`` | ``limit`` | ``sanitizer`` |
 ``crash`` | ``timeout`` | ``error`` | ``cancelled``.  Only ``crash``

@@ -3,15 +3,15 @@
 The experiment registry reproduces the paper's artifacts; this module is
 the general tool behind it for ad-hoc studies: build a grid of runs and
 execute it through the unified :class:`~repro.harness.engine.Engine` —
-duplicate (app × mode) grid entries are simulated once, ``jobs=`` runs
-unique entries in parallel worker processes, and ``cache=True`` serves
-repeated sweeps from the content-addressed on-disk result cache — then
-export a flat table ready for any plotting tool.
+duplicate (app × mode) grid entries are simulated once, an engine with
+``jobs=`` runs unique entries in parallel worker processes, and one with
+the cache on serves repeated sweeps from the content-addressed on-disk
+result cache — then export a flat table ready for any plotting tool.
 
 Example::
 
     sweep = Sweep(config=GPUConfig().scaled(num_clusters=4),
-                  jobs=4, cache=True)
+                  engine=Engine(jobs=4))
     sweep.add_apps(["hotspot", "MUM"])
     sweep.add_modes([unshared("lrr"), unshared("gto"),
                      shared(SharedResource.REGISTERS, "owf", unroll=True)])
@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import csv
 import io
-from pathlib import Path
 from typing import Iterable
 
 from repro.config import GPUConfig
-from repro.harness.engine import Engine, ResultCache, RunEvent, RunSpec
-from repro.harness.faults import FaultInjector
-from repro.harness.resilience import RetryPolicy, RunFailure
+from repro.harness.engine import Engine, RunEvent, RunSpec
+from repro.harness.resilience import RunFailure
 from repro.harness.runner import Mode
 from repro.sim.stats import RunResult
 from repro.workloads.apps import APPS, App
@@ -134,34 +132,20 @@ def rows_to_csv(rows: Iterable[dict]) -> str:
 class Sweep:
     """A grid of (app × mode) runs on one machine configuration.
 
-    ``jobs``/``cache``/``cache_dir`` configure the private
-    :class:`Engine` used for execution (``cache`` defaults to off — an
-    ad-hoc study tool shouldn't write to disk unless asked), and the
-    resilience knobs ``timeout``/``retry``/``fail_fast``/``sanitize``/
-    ``faults``/``max_cycles`` forward to it unchanged (see
-    docs/resilience.md); pass ``engine=`` to share an engine (and its
-    statistics/cache) with other callers instead.
+    Runs execute on ``engine`` — pass one to choose workers, cache,
+    timeouts, retries or the sanitizer (docs/engine.md), or to share
+    its statistics and cache with other callers.  The default is
+    ``Engine(cache=False)``: an ad-hoc study tool shouldn't write to
+    disk unless asked.
     """
 
     def __init__(self, *, config: GPUConfig | None = None,
                  scale: float = 1.0, waves: float = 6.0,
-                 jobs: int | None = None,
-                 cache: bool | ResultCache = False,
-                 cache_dir: str | Path | None = None,
-                 timeout: float | None = None,
-                 retry: RetryPolicy | None = None,
-                 fail_fast: bool = False,
-                 sanitize: bool | None = None,
-                 faults: FaultInjector | None = None,
-                 max_cycles: int | None = None,
                  engine: Engine | None = None) -> None:
         self.config = config if config is not None else GPUConfig()
         self.scale = scale
         self.waves = waves
-        self.engine = engine if engine is not None else Engine(
-            jobs=jobs, cache=cache, cache_dir=cache_dir, timeout=timeout,
-            retry=retry, fail_fast=fail_fast, sanitize=sanitize,
-            faults=faults, max_cycles=max_cycles)
+        self.engine = engine if engine is not None else Engine(cache=False)
         self._apps: list[App] = []
         self._modes: list[Mode] = []
         self.rows: list[dict] = []
@@ -191,8 +175,9 @@ class Sweep:
 
         Identical (app × mode) entries are deduplicated: the grid
         simulates each unique configuration once and emits one row for
-        it.  With ``jobs > 1`` unique runs execute in parallel; the row
-        order (and every value) is independent of the worker count.
+        it.  On an engine with ``jobs > 1`` unique runs execute in
+        parallel; the row order (and every value) is independent of the
+        worker count.
         """
         if not self._apps or not self._modes:
             raise ValueError("sweep needs at least one app and one mode")

@@ -21,7 +21,7 @@ semantics):
   absorbed until the process falls over.
 
 Durability: every result is persisted the moment it lands (the
-engine's ``on_complete`` hook), so ``kill -TERM`` mid-batch loses
+engine's ``progress`` hook), so ``kill -TERM`` mid-batch loses
 nothing — in-flight simulations finish and are stored, unstarted jobs
 are requeued by the engine's cancellation token, and a later restart
 :meth:`~repro.service.store.JobStore.recover`\\ s anything a hard kill
@@ -272,7 +272,7 @@ class ServiceServer:
         for eng in engines:
             if all(b.engine is not eng for b in self._batches):
                 return eng
-        eng = Engine(sanitize=sanitize or None, **self.engine_opts)
+        eng = Engine(sanitize=sanitize, **self.engine_opts)
         engines.append(eng)
         return eng
 
@@ -351,7 +351,7 @@ class ServiceServer:
                 .record(len(state.jobs))
         state.engine.run_batch(
             specs, cancel=self.cancel, pool=self.workers > 1,
-            on_complete=lambda ev: self._persist(state, ev))
+            progress=lambda ev: self._persist(state, ev))
 
     def _persist(self, state: _BatchState, ev) -> None:
         """Durability hook: store each slot the moment it settles.

@@ -31,10 +31,9 @@ At completion, additionally:
 * Σ issued instructions over all retired warps equals Σ per-SM issued.
 
 Enable via ``GPU(..., sanitize=True)``, ``run(..., sanitize=True)``,
-``Engine(sanitize=True)``, ``--sanitize`` on both CLIs, or
-``REPRO_SANITIZE=1``.  Overhead is a few percent at the default
-period; sanitized engine runs bypass the result cache so the checks
-always execute.
+``Engine(sanitize=True)`` or ``--sanitize`` on both CLIs.  Overhead is
+a few percent at the default period; sanitized engine runs bypass the
+result cache so the checks always execute.
 """
 
 from __future__ import annotations

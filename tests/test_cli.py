@@ -188,6 +188,22 @@ class TestEngineFlags:
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("main,argv", [
+        (harness_main, ["fig1"]),
+        (repro_main, ["run", "gaussian", "--clusters", "1", "--scale",
+                      "0.2", "--waves", "1", "--no-cache"]),
+    ])
+    def test_malformed_repro_jobs_exits_2(self, monkeypatch, capsys, main,
+                                          argv):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: REPRO_JOBS must be an integer "
+                                ">= 1, got 'abc'\n")
+
     @pytest.mark.parametrize("extra,want", [
         ([], (None, None, False, None, None)),
         (["--jobs", "2", "--cache-dir", "d", "--no-cache", "--timeout",

@@ -313,10 +313,6 @@ class TestEngine:
         assert Engine(cache=False).jobs == 3
         assert Engine(jobs=1, cache=False).jobs == 1
 
-    def test_no_cache_env_override(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        assert Engine(cache_dir=tmp_path).cache is None
-
 
 class TestExperimentIntegration:
     """The acceptance criteria: warm cache ⇒ zero simulations."""
@@ -391,36 +387,30 @@ class TestCancellation:
 
 
 class TestOnComplete:
+    """``progress`` fires on completion of every slot, however it
+    settles: the service persists results from it."""
+
     def test_fires_for_sim_hit_and_cancelled(self, tmp_path):
         import threading
         events = []
         eng = Engine(jobs=1, cache_dir=tmp_path)
-        eng.run_batch([spec()], on_complete=events.append)
+        eng.run_batch([spec()], progress=events.append)
         assert len(events) == 1 and not events[0].cached
-        eng.run_batch([spec()], on_complete=events.append)
+        eng.run_batch([spec()], progress=events.append)
         assert len(events) == 2 and events[1].cached
         cancel = threading.Event()
         cancel.set()
         eng.run_batch([spec(app="hotspot")], cancel=cancel,
-                      on_complete=events.append)
+                      progress=events.append)
         assert events[2].result.category == "cancelled"
 
     def test_fires_once_per_unique_digest(self):
         events = []
         eng = Engine(jobs=1, cache=False)
         s = spec()
-        eng.run_batch([s, s, s], on_complete=events.append)
+        eng.run_batch([s, s, s], progress=events.append)
         assert len(events) == 1
         assert eng.stats.deduped == 2
-
-    def test_coexists_with_progress(self):
-        seen = {"progress": [], "complete": []}
-        eng = Engine(jobs=1, cache=False)
-        eng.run_batch([spec()],
-                      progress=seen["progress"].append,
-                      on_complete=seen["complete"].append)
-        assert seen["progress"] == seen["complete"]
-        assert len(seen["progress"]) == 1
 
     def test_fires_for_failures(self):
         from repro.harness.faults import FaultInjector
@@ -428,7 +418,7 @@ class TestOnComplete:
         inj = FaultInjector().add(s.digest(), "error")
         events = []
         eng = Engine(jobs=1, cache=False, faults=inj)
-        eng.run_batch([s], on_complete=events.append)
+        eng.run_batch([s], progress=events.append)
         assert events[0].result.category == "error"
 
 
@@ -439,8 +429,9 @@ class TestQuarantinePrune:
         cache.path(d).write_text("{definitely not json")
         return d
 
-    def test_prunes_oldest_beyond_file_cap(self, tmp_path):
-        cache = ResultCache(tmp_path, quarantine_max_files=2)
+    def test_prunes_oldest_beyond_file_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ResultCache, "QUARANTINE_MAX_FILES", 2)
+        cache = ResultCache(tmp_path)
         digests = [self._corrupt(cache, spec(max_cycles=1000 + i))
                    for i in range(5)]
         for i, d in enumerate(digests):
@@ -451,8 +442,9 @@ class TestQuarantinePrune:
         left = sorted(p.name for p in cache.quarantine_dir().iterdir())
         assert left == sorted(f"{d}.json" for d in digests[-2:])
 
-    def test_prunes_beyond_byte_cap(self, tmp_path):
-        cache = ResultCache(tmp_path, quarantine_max_bytes=30)
+    def test_prunes_beyond_byte_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ResultCache, "QUARANTINE_MAX_BYTES", 30)
+        cache = ResultCache(tmp_path)
         for i in range(3):
             d = self._corrupt(cache, spec(max_cycles=2000 + i))
             cache.get(d)
@@ -460,8 +452,9 @@ class TestQuarantinePrune:
         assert sum(p.stat().st_size for p in files) <= 30
         assert cache.pruned >= 1
 
-    def test_engine_surfaces_pruned_count(self, tmp_path):
-        cache = ResultCache(tmp_path, quarantine_max_files=0)
+    def test_engine_surfaces_pruned_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ResultCache, "QUARANTINE_MAX_FILES", 0)
+        cache = ResultCache(tmp_path)
         s = spec()
         self._corrupt(cache, s)
         eng = Engine(jobs=1, cache=cache)

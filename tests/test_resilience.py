@@ -123,10 +123,20 @@ class TestBatchReport:
 
 
 class TestInProcessIsolation:
+    """Each failure rule, on the inline executor (``jobs=1``).
+
+    :class:`TestPoolIsolation` runs the same bodies on the process
+    pool: both executors go through one scheduling loop.
+    """
+
+    pool = False
+
+    def run(self, eng, *specs):
+        return eng.run_batch(list(specs), pool=self.pool)
+
     def test_limit_failure_isolated(self):
-        specs = [spec(max_cycles=10), spec(app="hotspot")]
         eng = Engine(jobs=1, cache=False)
-        bad, good = eng.run_batch(specs)
+        bad, good = self.run(eng, spec(max_cycles=10), spec(app="hotspot"))
         assert isinstance(bad, RunFailure) and bad.category == "limit"
         assert good.ok and good.cycles > 0
         assert eng.stats.failures == 1
@@ -137,14 +147,14 @@ class TestInProcessIsolation:
         inj = FaultInjector().add(s.digest(), "error")
         eng = Engine(jobs=1, cache=False, faults=inj, fail_fast=True)
         with pytest.raises(InjectedError):
-            eng.run_batch([s])
+            self.run(eng, s)
 
     def test_transient_crash_retries_to_success(self):
         s = spec()
         inj = FaultInjector().add(s.digest(), "crash", until_attempt=1)
         eng = Engine(jobs=1, cache=False, faults=inj,
                      retry=RetryPolicy(backoff_base=0.0))
-        res = eng.run_one(s)
+        (res,) = self.run(eng, s)
         assert res.ok
         assert eng.stats.retries == 1
         assert eng.stats.failures == 0
@@ -154,7 +164,7 @@ class TestInProcessIsolation:
         inj = FaultInjector().add(s.digest(), "crash")
         eng = Engine(jobs=1, cache=False, faults=inj,
                      retry=RetryPolicy(max_attempts=3, backoff_base=0.0))
-        res = eng.run_one(s)
+        (res,) = self.run(eng, s)
         assert isinstance(res, RunFailure)
         assert res.category == "crash" and res.attempts == 3
         assert eng.stats.retries == 2
@@ -163,7 +173,7 @@ class TestInProcessIsolation:
         s = spec()
         inj = FaultInjector().add(s.digest(), "hang", seconds=0.2)
         eng = Engine(jobs=1, cache=False, faults=inj, timeout=0.05)
-        res = eng.run_one(s)
+        (res,) = self.run(eng, s)
         assert isinstance(res, RunFailure) and res.category == "timeout"
         assert eng.stats.timeouts == 1
 
@@ -175,7 +185,7 @@ class TestInProcessIsolation:
                      retry=RetryPolicy(retry_timeouts=True,
                                        retry_categories=frozenset(),
                                        backoff_base=0.0))
-        res = eng.run_one(s)
+        (res,) = self.run(eng, s)
         assert res.ok
         assert eng.stats.retries == 1 and eng.stats.timeouts == 1
 
@@ -183,12 +193,46 @@ class TestInProcessIsolation:
         s = spec()
         inj = FaultInjector().add(s.digest(), "deadlock")
         eng = Engine(jobs=1, cache=False, faults=inj)
-        res = eng.run_one(s)
+        (res,) = self.run(eng, s)
         assert isinstance(res, RunFailure)
         assert res.category == "deadlock"
         assert res.exception_type == "SimulationDeadlock"
         assert "injected" in res.message
         assert res.attempts == 1
+
+    def test_retry_waits_its_backoff_not_a_tick(self, monkeypatch):
+        import time
+        slept = []
+        real_sleep = time.sleep
+
+        def sleep(seconds):
+            slept.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", sleep)
+        s = spec()
+        inj = FaultInjector().add(s.digest(), "crash", until_attempt=1)
+        eng = Engine(jobs=1, cache=False, faults=inj,
+                     retry=RetryPolicy(backoff_base=0.05))
+        (res,) = self.run(eng, s)
+        assert res.ok and eng.stats.retries == 1
+        assert 0.03 < sum(slept) <= 0.05
+
+
+class TestPoolIsolation(TestInProcessIsolation):
+    """The failure rules again, each spec in a worker process."""
+
+    pool = True
+
+
+class TestInlineElapsed:
+    def test_failure_elapsed_is_its_run_time(self):
+        s = spec()
+        inj = FaultInjector().add(s.digest(), "hang", seconds=0.2)
+        eng = Engine(jobs=1, cache=False, faults=inj, timeout=0.05)
+        (res,) = eng.run_batch([s])
+        assert res.category == "timeout"
+        assert res.elapsed >= 0.2
 
 
 class TestMaxCyclesOverride:

@@ -140,8 +140,7 @@ class TestEngineSanitizerPath:
         assert eng.stats.hits == 0 and eng.stats.sims == 1
 
     def test_env_default(self, monkeypatch):
+        # Off unless asked for; the environment does not turn it on.
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert Engine(jobs=1, cache=False).sanitize
-        monkeypatch.delenv("REPRO_SANITIZE")
         assert not Engine(jobs=1, cache=False).sanitize
         assert Engine(jobs=1, cache=False, sanitize=True).sanitize

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.core.sharing import SharedResource
+from repro.harness.engine import Engine
 from repro.harness.runner import shared, unshared
 from repro.harness.sweep import CSV_COLUMNS, Sweep, rows_to_csv
 
@@ -136,8 +137,8 @@ class TestCsvRoundTrip:
         bad = RunSpec.create(APPS["gaussian"], unshared("gto"),
                              config=FAST["config"], scale=FAST["scale"],
                              waves=FAST["waves"])
-        s = Sweep(**FAST,
-                  faults=FaultInjector().add(bad.digest(), "error"))
+        s = Sweep(**FAST, engine=Engine(
+            cache=False, faults=FaultInjector().add(bad.digest(), "error")))
         s.add_apps(["gaussian"])
         s.add_modes([unshared("lrr"), unshared("gto")])
         s.run()
@@ -189,12 +190,12 @@ class TestSweepEngine:
         assert s.engine.stats.sims == 2
 
     def test_cache_knob(self, tmp_path):
-        s1 = Sweep(**FAST, cache=True, cache_dir=tmp_path)
+        s1 = Sweep(**FAST, engine=Engine(cache_dir=tmp_path))
         s1.add_apps(["gaussian"]).add_modes([unshared("lrr")])
         s1.run()
         assert s1.engine.stats.sims == 1
 
-        s2 = Sweep(**FAST, cache=True, cache_dir=tmp_path)
+        s2 = Sweep(**FAST, engine=Engine(cache_dir=tmp_path))
         s2.add_apps(["gaussian"]).add_modes([unshared("lrr")])
         rows = s2.run()
         assert s2.engine.stats.sims == 0 and s2.engine.stats.hits == 1
@@ -204,7 +205,6 @@ class TestSweepEngine:
         assert Sweep(**FAST).engine.cache is None
 
     def test_shared_engine(self):
-        from repro.harness.engine import Engine
         eng = Engine(jobs=1, cache=False)
         s = Sweep(**FAST, engine=eng)
         s.add_apps(["gaussian"]).add_modes([unshared("lrr")])
