@@ -788,8 +788,14 @@ class Engine:
         def submit(d: str) -> None:
             attempt = fail_count.get(d, 0) + 1
             t0 = time.monotonic()  # before an inline run, not after
-            fut = executor.submit(_execute_timed, unique[d], attempt,
-                                  self.faults, self.sanitize, use_pool)
+            try:
+                fut = executor.submit(_execute_timed, unique[d], attempt,
+                                      self.faults, self.sanitize, use_pool)
+            except BrokenExecutor as exc:
+                # A worker died after the last wait: settle this spec
+                # as broken so the broken-pool path requeues it.
+                fut = Future()
+                fut.set_exception(exc)
             inflight[fut] = (d, t0)
 
         def kill_pool() -> None:

@@ -192,7 +192,7 @@ class TestEngineFlags:
         (harness_main, ["fig1"]),
         (repro_main, ["run", "gaussian", "--clusters", "1", "--scale",
                       "0.2", "--waves", "1", "--no-cache"]),
-    ])
+    ], ids=["harness", "run"])
     def test_malformed_repro_jobs_exits_2(self, monkeypatch, capsys, main,
                                           argv):
         monkeypatch.setenv("REPRO_JOBS", "abc")

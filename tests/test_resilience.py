@@ -224,6 +224,29 @@ class TestPoolIsolation(TestInProcessIsolation):
 
     pool = True
 
+    def test_pool_broken_before_submit(self, monkeypatch):
+        # A worker can die between the loop's wait and its next submit:
+        # the spec is retried on a new pool, not the batch aborted.
+        from concurrent.futures.process import BrokenProcessPool
+
+        import repro.harness.engine as engine_mod
+        real = engine_mod.ProcessPoolExecutor
+        submits = []
+
+        class BrokenOnce(real):
+            def submit(self, *args):
+                submits.append(args)
+                if len(submits) == 1:
+                    raise BrokenProcessPool("a worker died")
+                return super().submit(*args)
+
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", BrokenOnce)
+        eng = Engine(jobs=2, cache=False,
+                     retry=RetryPolicy(backoff_base=0.0))
+        (res,) = self.run(eng, spec())
+        assert res.ok
+        assert len(submits) == 2 and eng.stats.retries == 1
+
 
 class TestInlineElapsed:
     def test_failure_elapsed_is_its_run_time(self):
@@ -232,7 +255,7 @@ class TestInlineElapsed:
         eng = Engine(jobs=1, cache=False, faults=inj, timeout=0.05)
         (res,) = eng.run_batch([s])
         assert res.category == "timeout"
-        assert res.elapsed >= 0.2
+        assert res.elapsed > 0.15  # the 0.2 s hang, not about 0
 
 
 class TestMaxCyclesOverride:
