@@ -114,9 +114,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             footer += f", {engine.stats.failures} failures"
         if engine.stats.quarantined:
             footer += f", {engine.stats.quarantined} quarantined"
-        if engine.stats.quarantine_pruned:
-            footer += (f", {engine.stats.quarantine_pruned} "
-                       f"quarantine-pruned")
         print(footer + "]")
         for f in engine.failures[nfail0:]:
             print(f"  FAILED: {f.describe()}", file=sys.stderr)

@@ -17,10 +17,11 @@ deduplication and persistence of simulations:
   on a ``ProcessPoolExecutor`` with ``jobs > 1`` and in this process
   at ``jobs == 1`` (the simulations are deterministic, so both produce
   the same bits — only wall-clock changes).
-* :class:`ResultCache` — a content-addressed on-disk store
-  (``~/.cache/repro`` by default, override with ``cache_dir=`` /
-  ``REPRO_CACHE_DIR``) keyed by ``RunSpec.digest()``; entries hold the
-  spec and the full :meth:`RunResult.to_dict` payload.
+* :class:`ResultCache` — a content-addressed SQLite store
+  (``~/.cache/repro/results.db`` by default, override the root with
+  ``cache_dir=`` / ``REPRO_CACHE_DIR``) keyed by ``RunSpec.digest()``;
+  each row holds the :meth:`RunResult.to_dict` payload, and a batch
+  reads all of its rows in one query.
 * Observability — per-run wall time, hit/miss/dedup counters
   (:class:`EngineStats`) and a per-completion progress callback
   (:class:`RunEvent`).
@@ -48,7 +49,8 @@ import hashlib
 import json
 import math
 import os
-import tempfile
+import sqlite3
+import threading
 import time
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
                                 ProcessPoolExecutor, wait)
@@ -219,9 +221,6 @@ class RunSpec:
         to its fingerprint)."""
         config = {k: dict(v) if isinstance(v, dict) else v
                   for k, v in _config_dict(self.config).items()}
-        return self._as_dict(config)
-
-    def _as_dict(self, config: dict) -> dict:
         return {
             "app": self.app,
             "kernel_fp": self.kernel_fp,
@@ -268,11 +267,12 @@ class RunSpec:
                    trace=trace, metrics=metrics)
 
     def digest(self) -> str:
-        """Content address: canonical JSON of the spec + code salt."""
-        spec = self._as_dict(_config_dict(self.config))
-        payload = json.dumps({"salt": code_salt(), "spec": spec},
-                             sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        """Content address: canonical JSON of the spec + code salt,
+        computed once per distinct spec and salt (see :func:`_digest`)."""
+        return _digest(self.app, self.kernel_fp, self.mode, self.config,
+                       self.scale, self.waves, self.grid_blocks,
+                       self.max_cycles, self.trace, self.metrics,
+                       type(self.mode.t), code_salt())
 
     def target(self) -> App | Kernel:
         """The runnable object this spec describes."""
@@ -304,6 +304,20 @@ class RunSpec:
         return res
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _digest(app, kernel_fp, mode, config, scale, waves, grid_blocks,
+            max_cycles, trace, metrics, _t_type, salt) -> str:
+    """:meth:`RunSpec.digest` of the spec with these identity fields:
+    not the spec itself, so the memo keeps no ad-hoc kernel alive.
+    ``typed`` (and ``_t_type`` for the mode's ``t``) keeps ``1`` apart
+    from ``1.0``, which encode differently."""
+    spec = RunSpec(app, kernel_fp, mode, config, scale, waves, grid_blocks,
+                   max_cycles, trace, metrics).to_dict()
+    payload = json.dumps({"salt": salt, "spec": spec},
+                         sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def _execute_timed(spec: RunSpec, attempt: int = 1,
                    faults: FaultInjector | None = None,
                    sanitize: bool = False,
@@ -320,125 +334,107 @@ def _execute_timed(spec: RunSpec, attempt: int = 1,
     return res, time.perf_counter() - t0
 
 
+#: Open store connections by (process, thread, database path).  Only
+#: the thread in its key touches an entry, so no lock is needed.  Not
+#: thread-local: a forked process must keep, never close, its parent's.
+_CONNS: dict[tuple[int, int, str], sqlite3.Connection] = {}
+#: Stores one thread keeps open; opening another closes its oldest.
+_CONNS_PER_THREAD = 4
+#: Digests per ``SELECT … IN (…)``: under any SQLite's variable limit.
+_IN_MAX = 900
+#: How long a store operation waits for another writer's lock.
+_BUSY_S = 30.0
+
+
 class ResultCache:
-    """Content-addressed on-disk store of :class:`RunResult` payloads.
+    """Content-addressed store of :class:`RunResult` payloads.
 
-    Layout: ``<root>/<digest[:2]>/<digest>.json`` holding the schema
-    version, the spec (for inspection), the result and the simulation
-    wall time.  All I/O failures degrade to cache misses; writes are
-    atomic (temp file + rename) so concurrent engines never observe a
-    torn entry.  A *corrupted* entry (truncated file, non-JSON bytes,
-    wrong payload shape) is moved to ``<root>/quarantine/`` on read —
-    counted in :attr:`quarantined` — so the bad bytes are re-simulated
-    once instead of re-parsed forever.
-
-    The quarantine directory is bounded: after each move, entries are
-    pruned oldest-first until at most :attr:`QUARANTINE_MAX_FILES`
-    files totalling at most :attr:`QUARANTINE_MAX_BYTES` remain
-    (pruned files are counted in :attr:`pruned` and surface in the
-    engine footer).  Post-mortem evidence is useful; an unbounded
-    graveyard is not.
+    One SQLite database in WAL mode, ``<root>/results.db``, with one
+    table ``results(digest PRIMARY KEY, schema, payload)`` holding
+    :meth:`RunResult.to_dict` JSON; :meth:`get` serves a whole batch in
+    one query.  A database error is a miss or a dropped write, never a
+    failed run, and a row of another :data:`CACHE_SCHEMA` is a plain
+    miss.  A row that does not decode to a result is deleted on read and
+    counted in :attr:`quarantined`, so its spec is re-simulated once
+    instead of re-parsed forever.  Old ``<root>/<xx>/<digest>.json``
+    entries are not read.
     """
-
-    #: Quarantine bounds.
-    QUARANTINE_MAX_FILES = 32
-    QUARANTINE_MAX_BYTES = 4 << 20
 
     def __init__(self, root: str | Path | None = None) -> None:
         self.root = Path(root if root is not None
                          else os.environ.get("REPRO_CACHE_DIR")
                          or Path.home() / ".cache" / "repro")
-        #: Corrupted entries moved to quarantine by this instance.
+        #: The database file.
+        self.path = self.root / "results.db"
+        #: Corrupt rows deleted by this instance.
         self.quarantined = 0
-        #: Old quarantine files deleted to stay within the bounds.
-        self.pruned = 0
 
-    def path(self, digest: str) -> Path:
-        """Entry location for a digest."""
-        return self.root / digest[:2] / f"{digest}.json"
+    def connection(self) -> sqlite3.Connection:
+        """This thread's connection to the store, opened (and the table
+        created) on first use and reused by every later instance."""
+        key = (os.getpid(), threading.get_ident(), str(self.path))
+        db = _CONNS.get(key)
+        if db is None:
+            mine = [k for k in list(_CONNS) if k[:2] == key[:2]]
+            for old in mine[:len(mine) + 1 - _CONNS_PER_THREAD]:
+                _CONNS.pop(old).close()
+            self.root.mkdir(parents=True, exist_ok=True)
+            db = sqlite3.connect(key[2], timeout=_BUSY_S,
+                                 isolation_level=None)
+            deadline = time.monotonic() + _BUSY_S
+            while True:
+                try:
+                    db.execute("PRAGMA journal_mode=WAL")
+                    db.execute("PRAGMA synchronous=NORMAL")
+                    db.execute("CREATE TABLE IF NOT EXISTS results (digest"
+                               " TEXT PRIMARY KEY, schema INTEGER,"
+                               " payload TEXT)")
+                    break
+                except sqlite3.Error as exc:
+                    # Switching a new database to WAL fails "locked" at
+                    # once, not after the busy timeout, when another
+                    # process is doing the same: retry that.
+                    if "locked" not in str(exc) \
+                            or time.monotonic() > deadline:
+                        db.close()
+                        raise
+                    time.sleep(0.01)
+            _CONNS[key] = db
+        return db
 
-    def quarantine_dir(self) -> Path:
-        """Where corrupted entries are moved for post-mortem."""
-        return self.root / "quarantine"
-
-    def get(self, digest: str) -> RunResult | None:
-        """Stored result for ``digest``, or None."""
-        target = self.path(digest)
+    def get(self, digests: Sequence[str]) -> dict[str, RunResult]:
+        """Stored results of those ``digests`` that have one."""
+        found: dict[str, RunResult] = {}
+        bad: list[str] = []
         try:
-            text = target.read_text()
-        except OSError:
-            return None  # plain miss
-        try:
-            payload = json.loads(text)
-            if payload.get("schema") != CACHE_SCHEMA:
-                return None  # versioned entry from another build: miss
-            return RunResult.from_dict(payload["result"])
-        except (ValueError, KeyError, TypeError):
-            self._quarantine(target)
-            return None
+            db = self.connection()
+            for i in range(0, len(digests), _IN_MAX):
+                chunk = digests[i:i + _IN_MAX]
+                rows = db.execute(
+                    "SELECT digest, payload FROM results WHERE schema = ?"
+                    f" AND digest IN ({','.join('?' * len(chunk))})",
+                    (CACHE_SCHEMA, *chunk)).fetchall()
+                for d, payload in rows:
+                    try:
+                        found[d] = RunResult.from_dict(json.loads(payload))
+                    except (ValueError, KeyError, TypeError):
+                        bad.append(d)
+            if bad:
+                self.quarantined += len(bad)
+                db.executemany("DELETE FROM results WHERE digest = ?",
+                               [(d,) for d in bad])
+        except (sqlite3.Error, OSError):
+            pass  # an unreadable store is a miss, never a failed run
+        return found
 
-    def _quarantine(self, target: Path) -> None:
-        """Move a corrupted entry out of the lookup path (best-effort)."""
-        self.quarantined += 1
-        try:
-            qdir = self.quarantine_dir()
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(target, qdir / target.name)
-        except OSError:
-            try:  # can't move (permissions?) — deleting also unblocks
-                target.unlink()
-            except OSError:
-                pass
-        self.prune_quarantine()
-
-    def prune_quarantine(self) -> int:
-        """Delete oldest quarantine files until within the bounds.
-
-        Returns the number pruned this call (also accumulated into
-        :attr:`pruned`).  All I/O failures are swallowed — pruning is
-        hygiene, never a reason to fail a run.
-        """
-        try:
-            entries = sorted(
-                (p.stat().st_mtime, p.stat().st_size, p)
-                for p in self.quarantine_dir().iterdir() if p.is_file())
-        except OSError:
-            return 0
-        count = len(entries)
-        total = sum(size for _m, size, _p in entries)
-        removed = 0
-        for _mtime, size, path in entries:      # oldest first
-            if (count <= self.QUARANTINE_MAX_FILES
-                    and total <= self.QUARANTINE_MAX_BYTES):
-                break
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-            count -= 1
-            total -= size
-        self.pruned += removed
-        return removed
-
-    def put(self, digest: str, spec: RunSpec, result: RunResult,
-            elapsed: float) -> None:
+    def put(self, digest: str, result: RunResult) -> None:
         """Store ``result`` under ``digest`` (best-effort)."""
-        payload = {"schema": CACHE_SCHEMA, "digest": digest,
-                   "spec": spec.to_dict(), "elapsed": round(elapsed, 6),
-                   "result": result.to_dict()}
-        target = self.path(digest)
+        payload = json.dumps(result.to_dict())
         try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as f:
-                    json.dump(payload, f)
-                os.replace(tmp, target)
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        except OSError:
+            self.connection().execute(
+                "INSERT OR REPLACE INTO results VALUES (?, ?, ?)",
+                (digest, CACHE_SCHEMA, payload))
+        except (sqlite3.Error, OSError):
             pass  # a read-only cache dir must never fail the run
 
 
@@ -462,8 +458,7 @@ class EngineStats:
     failures: int = 0        #: runs that ended as a RunFailure
     retries: int = 0         #: re-attempts scheduled by the retry policy
     timeouts: int = 0        #: runs killed / flagged by the watchdog
-    quarantined: int = 0     #: corrupted cache entries moved aside
-    quarantine_pruned: int = 0  #: old quarantine files deleted (cap)
+    quarantined: int = 0     #: corrupt cache rows deleted on read
     cancelled: int = 0       #: runs cancelled before dispatch (token)
 
 
@@ -518,7 +513,7 @@ class Engine:
         Worker processes.  ``None`` → ``REPRO_JOBS`` or ``os.cpu_count()``;
         ``1`` → every simulation runs in this process (no pool).
     cache:
-        ``True`` (default) enables the content-addressed disk cache,
+        ``True`` (default) enables the content-addressed result store,
         ``False`` disables it; a :class:`ResultCache` instance is used
         as-is.
     cache_dir:
@@ -602,9 +597,10 @@ class Engine:
         """Execute ``specs``; returns results aligned with the input.
 
         Identical specs (same digest) are simulated once; cached results
-        are loaded from disk; the rest run on the pool (``jobs > 1``) or
-        in-process.  Result order is always the submission order, so a
-        parallel batch is bit-identical to a sequential one.
+        are loaded from the store in one query; the rest run on the pool
+        (``jobs > 1``) or in-process.  Result order is always the
+        submission order, so a parallel batch is bit-identical to a
+        sequential one.
 
         Failure isolation: unless ``fail_fast=True``, a run that fails
         terminally (after retries) occupies its slot in the returned
@@ -663,6 +659,9 @@ class Engine:
         def cacheable(d: str) -> bool:
             return cache is not None and unique[d].trace is None
 
+        lookup = [d for d in unique if cacheable(d)]
+        hits = cache.get(lookup) if lookup else {}
+
         results: dict[str, RunResult | RunFailure] = {}
         done = 0
         total = len(unique)
@@ -677,14 +676,14 @@ class Engine:
                                   elapsed=elapsed))
 
         todo: list[str] = []
-        for d, spec in unique.items():
+        for d in unique:
+            hit = hits.get(d)
+            if hit is not None:
+                self.stats.hits += 1
+                results[d] = hit
+                emit(d, hit, True, 0.0)
+                continue
             if cacheable(d):
-                hit = cache.get(d)
-                if hit is not None:
-                    self.stats.hits += 1
-                    results[d] = hit
-                    emit(d, hit, True, 0.0)
-                    continue
                 self.stats.misses += 1
             todo.append(d)
 
@@ -693,7 +692,7 @@ class Engine:
             self.stats.sims += 1
             self.stats.sim_time += elapsed
             if cacheable(d):
-                cache.put(d, unique[d], res, elapsed)
+                cache.put(d, res)
             emit(d, res, False, elapsed)
 
         def fail(d: str, failure: RunFailure) -> None:
@@ -720,7 +719,6 @@ class Engine:
         finally:
             if self.cache is not None:
                 self.stats.quarantined = self.cache.quarantined
-                self.stats.quarantine_pruned = self.cache.pruned
             self.stats.wall_time += time.perf_counter() - t_batch
         return [results[d] for d in order]
 

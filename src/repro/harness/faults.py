@@ -22,9 +22,9 @@ retries exist for.  The injector is a plain picklable mapping, shipped
 to workers inside the engine's task tuple; no globals, no env vars.
 
 Cache corruption is a parent-side fault: :func:`corrupt_cache_entry`
-damages an on-disk result-cache entry in one of three ways so tests
-can prove the quarantine path re-simulates instead of re-parsing the
-bad bytes forever.
+damages a result-store row in one of four ways so tests can prove that
+a corrupt row is deleted and re-simulated instead of re-parsed
+forever, and that a row of another schema version is a plain miss.
 """
 
 from __future__ import annotations
@@ -153,26 +153,27 @@ class FaultInjector:
 # ----------------------------------------------------------------------
 def corrupt_cache_entry(cache: "ResultCache", digest: str,
                         mode: str = "garbage") -> None:
-    """Damage the on-disk cache entry for ``digest``.
+    """Damage the result-store row for ``digest``.
 
-    Modes: ``garbage`` (overwrite with non-JSON bytes), ``truncate``
-    (cut the entry mid-payload), ``missing-key`` (valid JSON, wrong
-    shape).  ``truncate`` and ``missing-key`` require an existing
-    entry; ``garbage`` creates one if absent.
+    Modes: ``garbage`` (a payload that is not JSON), ``truncate`` (cut
+    the payload in half), ``missing-key`` (valid JSON, wrong shape)
+    and ``schema`` (a row of another cache schema version).
+    ``truncate`` and ``schema`` require an existing row (``KeyError``
+    otherwise); the other two create one if absent.
     """
-    if mode not in ("garbage", "truncate", "missing-key"):
-        raise ValueError(f"unknown corruption mode {mode!r}")
-    path = cache.path(digest)
-    if mode == "garbage":
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("{corrupt \x00 not json")
-    elif mode == "truncate":
-        path.write_text(path.read_text()[: max(1, path.stat().st_size // 2)])
-    else:  # missing-key: valid JSON, wrong payload shape
-        path.write_text('{"schema": %d, "result": {"oops": 1}}'
-                        % _schema())
-
-
-def _schema() -> int:
     from repro.harness.engine import CACHE_SCHEMA
-    return CACHE_SCHEMA
+    if mode not in ("garbage", "truncate", "missing-key", "schema"):
+        raise ValueError(f"unknown corruption mode {mode!r}")
+    db = cache.connection()
+    if mode in ("garbage", "missing-key"):
+        payload = ("{corrupt \x00 not json" if mode == "garbage"
+                   else '{"oops": 1}')
+        db.execute("INSERT OR REPLACE INTO results VALUES (?, ?, ?)",
+                   (digest, CACHE_SCHEMA, payload))
+        return
+    sql = ("UPDATE results SET payload = substr(payload, 1,"
+           " max(1, length(payload) / 2)) WHERE digest = ?"
+           if mode == "truncate" else
+           "UPDATE results SET schema = schema + 1 WHERE digest = ?")
+    if db.execute(sql, (digest,)).rowcount != 1:
+        raise KeyError(f"no result-store row for {digest}")

@@ -1,9 +1,13 @@
 """Execution engine: RunSpec digests, result cache, parallel equality."""
 
+import gc
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -16,8 +20,10 @@ from repro.core.sharing import SharedResource
 from repro.harness import engine as engine_mod
 from repro.harness.engine import Engine, ResultCache, RunSpec, code_salt
 from repro.harness.experiments import EXPERIMENTS, run_experiment
+from repro.harness.faults import corrupt_cache_entry
 from repro.harness.runner import run, shared, unshared
 from repro.workloads.apps import APPS
+from repro.workloads.generator import generate_kernel
 
 CFG = GPUConfig().scaled(num_clusters=1)
 FAST = dict(config=CFG, scale=0.15, waves=1.0)
@@ -147,6 +153,15 @@ PINNED_SPEC_JSON = (
     '"unroll": true}, "scale": 0.15, "trace": null, "waves": 1.0}')
 
 
+#: ``digest()`` of the spec of ``test_spec_json_pinned`` and of an
+#: ad-hoc ``generate_kernel(7)`` spec, under the salt
+#: ``0123456789abcdef``: the bytes the digest memo must not change.
+PINNED_DIGEST = (
+    "82a6d64c8100cd31779dd8821e6773f335e450ea456088a2f424d28f8f55c99d")
+PINNED_ADHOC_DIGEST = (
+    "7c8ac86ade5758a600d5c956ac4793d27093520d28db12b1d4050d51945282ac")
+
+
 class TestWarmPath:
     """Kernels, fingerprints and config dicts are computed once per
     process, and the digest inputs are unchanged by the memoization."""
@@ -180,6 +195,48 @@ class TestWarmPath:
         assert s.digest() == digest
         assert s.to_dict()["config"]["timings"]["tCL"] == 12
 
+    def test_digest_pinned(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "code_salt",
+                            lambda: "0123456789abcdef")
+        s = RunSpec.create(
+            APPS["hotspot"],
+            shared(SharedResource.REGISTERS, "owf", t=0.3, unroll=True,
+                   dyn=True), **FAST)
+        assert s.digest() == PINNED_DIGEST
+        adhoc = RunSpec.create(generate_kernel(7), unshared("lrr"),
+                               config=CFG, waves=1.0)
+        assert adhoc.digest() == PINNED_ADHOC_DIGEST
+
+    @pytest.mark.parametrize("adhoc", [False, True])
+    def test_digest_is_the_canonical_json_hash(self, adhoc):
+        target = generate_kernel(11) if adhoc else APPS["hotspot"]
+        s = RunSpec.create(target, unshared("gto"), **FAST)
+        for variant in (s, replace(s, scale=1), replace(s, scale=1.0),
+                        replace(s, mode=replace(s.mode, t=0)),
+                        replace(s, mode=replace(s.mode, t=0.0))):
+            payload = json.dumps({"salt": code_salt(),
+                                  "spec": variant.to_dict()},
+                                 sort_keys=True, separators=(",", ":"))
+            assert variant.digest() \
+                == hashlib.sha256(payload.encode()).hexdigest()
+
+    def test_digest_follows_the_salt(self, monkeypatch):
+        s = spec()
+        before = s.digest()
+        monkeypatch.setattr(engine_mod, "code_salt", lambda: "upgraded")
+        assert s.digest() != before
+        monkeypatch.undo()
+        assert s.digest() == before
+
+    def test_digest_memo_keeps_no_adhoc_kernel(self):
+        kernel = generate_kernel(13)
+        s = RunSpec.create(kernel, unshared("lrr"), config=CFG, waves=1.0)
+        s.digest()
+        ref = weakref.ref(kernel)
+        del kernel, s
+        gc.collect()
+        assert ref() is None
+
     def test_warm_pass_builds_each_kernel_at_most_once(self, tmp_path,
                                                        monkeypatch):
         tiny = dict(config=CFG, scale=0.1, waves=0.5)
@@ -204,32 +261,79 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         s = spec()
         res = s.execute()
-        cache.put(s.digest(), s, res, 0.5)
-        assert cache.get(s.digest()) == res
+        cache.put(s.digest(), res)
+        assert cache.get([s.digest()]) == {s.digest(): res}
 
     def test_miss_returns_none(self, tmp_path):
-        assert ResultCache(tmp_path).get("0" * 64) is None
+        assert ResultCache(tmp_path).get(["0" * 64]) == {}
 
     def test_corrupt_entry_is_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         d = spec().digest()
-        cache.path(d).parent.mkdir(parents=True)
-        cache.path(d).write_text("{not json")
-        assert cache.get(d) is None
+        corrupt_cache_entry(cache, d, "garbage")
+        assert cache.get([d]) == {}
+        assert cache.quarantined == 1
 
     def test_schema_mismatch_is_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         s = spec()
-        cache.put(s.digest(), s, s.execute(), 0.0)
-        payload = json.loads(cache.path(s.digest()).read_text())
-        payload["schema"] = 999
-        cache.path(s.digest()).write_text(json.dumps(payload))
-        assert cache.get(s.digest()) is None
+        cache.put(s.digest(), s.execute())
+        corrupt_cache_entry(cache, s.digest(), "schema")
+        assert cache.get([s.digest()]) == {}
+        assert cache.quarantined == 0
 
     def test_layout(self, tmp_path):
         cache = ResultCache(tmp_path)
-        d = "ab" + "0" * 62
-        assert cache.path(d) == tmp_path / "ab" / f"{d}.json"
+        s = spec()
+        cache.put(s.digest(), s.execute())
+        assert cache.path == tmp_path / "results.db"
+        assert sorted(p.name for p in tmp_path.iterdir()
+                      if not p.name.startswith("results.db-")) \
+            == ["results.db"]
+        (digest, schema, payload), = cache.connection().execute(
+            "SELECT digest, schema, payload FROM results")
+        assert (digest, schema) == (s.digest(), engine_mod.CACHE_SCHEMA)
+        assert json.loads(payload) == s.execute().to_dict()
+
+    def test_one_query_per_batch(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        eng = Engine(jobs=1, cache=cache)
+        specs = [spec(app) for app in ("gaussian", "hotspot", "BFS")]
+        eng.run_batch(specs)
+        calls = []
+        get = ResultCache.get
+        monkeypatch.setattr(ResultCache, "get",
+                            lambda self, ds: calls.append(ds) or get(self, ds))
+        eng.run_batch(specs + specs[:1])
+        assert calls == [[s.digest() for s in specs]]
+        assert eng.stats.hits == 3
+
+    def test_lookup_larger_than_one_query(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_IN_MAX", 2)
+        cache = ResultCache(tmp_path)
+        s = spec()
+        cache.put(s.digest(), s.execute())
+        ds = ["0" * 64, "1" * 64, s.digest(), "2" * 64]
+        assert list(cache.get(ds)) == [s.digest()]
+
+    def test_old_json_layout_ignored(self, tmp_path):
+        s = spec()
+        d = s.digest()
+        (tmp_path / d[:2]).mkdir()
+        (tmp_path / d[:2] / f"{d}.json").write_text(json.dumps(
+            {"schema": 1, "result": s.execute().to_dict()}))
+        eng = Engine(jobs=1, cache_dir=tmp_path)
+        eng.run_one(s)
+        assert (eng.stats.hits, eng.stats.sims) == (0, 1)
+
+    def test_unwritable_root_is_a_miss(self, tmp_path):
+        root = tmp_path / "file"
+        root.write_text("not a directory")
+        cache = ResultCache(root)
+        s = spec()
+        cache.put(s.digest(), s.execute())
+        assert cache.get([s.digest()]) == {}
+        assert Engine(jobs=1, cache=cache).run_one(s).ok
 
 
 class TestEngine:
@@ -422,43 +526,168 @@ class TestOnComplete:
         assert events[0].result.category == "error"
 
 
-class TestQuarantinePrune:
-    def _corrupt(self, cache, s):
-        d = s.digest()
-        cache.path(d).parent.mkdir(parents=True, exist_ok=True)
-        cache.path(d).write_text("{definitely not json")
-        return d
+class TestCorruptRows:
+    """A corrupt row is a miss, is deleted and counted, and its spec is
+    re-simulated: no bad row outlives the lookup that found it."""
 
-    def test_prunes_oldest_beyond_file_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ResultCache, "QUARANTINE_MAX_FILES", 2)
+    def test_every_corrupt_row_deleted(self, tmp_path):
         cache = ResultCache(tmp_path)
-        digests = [self._corrupt(cache, spec(max_cycles=1000 + i))
-                   for i in range(5)]
-        for i, d in enumerate(digests):
-            os.utime(cache.path(d), (i, i))  # deterministic age order
-            assert cache.get(d) is None
+        digests = [spec(max_cycles=1000 + i).digest() for i in range(5)]
+        for d in digests:
+            corrupt_cache_entry(cache, d, "garbage")
+            assert cache.get([d]) == {}
         assert cache.quarantined == 5
-        assert cache.pruned == 3
-        left = sorted(p.name for p in cache.quarantine_dir().iterdir())
-        assert left == sorted(f"{d}.json" for d in digests[-2:])
+        assert cache.connection().execute(
+            "SELECT COUNT(*) FROM results").fetchone() == (0,)
 
-    def test_prunes_beyond_byte_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ResultCache, "QUARANTINE_MAX_BYTES", 30)
+    def test_one_lookup_deletes_bad_rows_keeps_good(self, tmp_path):
         cache = ResultCache(tmp_path)
-        for i in range(3):
-            d = self._corrupt(cache, spec(max_cycles=2000 + i))
-            cache.get(d)
-        files = list(cache.quarantine_dir().iterdir())
-        assert sum(p.stat().st_size for p in files) <= 30
-        assert cache.pruned >= 1
+        good = spec()
+        cache.put(good.digest(), good.execute())
+        bad = [spec(max_cycles=2000 + i).digest() for i in range(3)]
+        for d, mode in zip(bad, ("garbage", "missing-key", "garbage")):
+            corrupt_cache_entry(cache, d, mode)
+        found = cache.get(bad + [good.digest()])
+        assert list(found) == [good.digest()]
+        assert cache.quarantined == 3
+        assert [d for d, in cache.connection().execute(
+            "SELECT digest FROM results")] == [good.digest()]
 
-    def test_engine_surfaces_pruned_count(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ResultCache, "QUARANTINE_MAX_FILES", 0)
+    def test_engine_surfaces_deleted_count(self, tmp_path):
         cache = ResultCache(tmp_path)
         s = spec()
-        self._corrupt(cache, s)
+        corrupt_cache_entry(cache, s.digest(), "garbage")
         eng = Engine(jobs=1, cache=cache)
-        eng.run_one(s)
-        assert eng.stats.quarantined == 1
-        assert eng.stats.quarantine_pruned == 1
-        assert not list(cache.quarantine_dir().iterdir())
+        res = eng.run_one(s)
+        assert eng.stats.quarantined == 1 and eng.stats.sims == 1
+        assert cache.get([s.digest()]) == {s.digest(): res}
+
+
+#: Writer process of ``test_two_processes_write_one_root``: waits for
+#: "go" on stdin, then stores one result per digest index in its range
+#: into each of the given roots in turn.
+_WRITER = """
+import json, sys
+from repro.harness.engine import ResultCache
+from repro.sim.stats import RunResult
+base, lo, hi, *roots = sys.argv[1:]
+template = RunResult.from_dict(json.loads(open(base).read()))
+print("ready", flush=True)
+sys.stdin.readline()
+for root in roots:
+    cache = ResultCache(root)
+    for i in range(int(lo), int(hi)):
+        template.cycles = i
+        cache.put(f"{i:064x}", template)
+"""
+
+
+class TestStoreConcurrency:
+    def test_two_processes_write_one_root(self, tmp_path):
+        """Both writers create each new store at the same moment (the
+        set-up race) and then write overlapping digests."""
+        res = spec().execute()
+        base = tmp_path / "result.json"
+        base.write_text(json.dumps(res.to_dict()))
+        roots = [str(tmp_path / f"cache{i}") for i in range(4)]
+        src = Path(repro.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", _WRITER, str(base), lo, hi, *roots],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=env) for lo, hi in (("0", "100"), ("50", "150"))]
+        for p in procs:
+            assert p.stdout.readline().strip() == "ready"
+        for p in procs:  # both start writing at once
+            p.stdin.write("go\n")
+            p.stdin.flush()
+        for p in procs:
+            p.stdin.close()
+            assert p.wait(timeout=60) == 0
+            p.stdout.close()
+        for root in roots:
+            found = ResultCache(root).get([f"{i:064x}" for i in range(150)])
+            assert len(found) == 150, root
+            for i in range(150):
+                assert found[f"{i:064x}"] == replace(res, cycles=i)
+
+    def test_warm_read_then_pool_then_warm_read(self, tmp_path):
+        eng = Engine(jobs=2, cache_dir=tmp_path)
+        first = spec()
+        rest = [spec(app) for app in ("hotspot", "BFS", "NW1")]
+        expected = eng.run_one(first)
+        assert eng.run_one(first) == expected           # warm read
+        assert eng.stats.hits == 1
+        cold = eng.run_batch(rest)                      # forks the pool
+        assert eng.stats.sims == 1 + len(rest)
+        sims, hits = eng.stats.sims, eng.stats.hits
+        warm = eng.run_batch([first] + rest)
+        assert eng.stats.sims == sims
+        assert eng.stats.hits == hits + 1 + len(rest)
+        assert warm == [expected] + cold
+
+    def test_forked_child_opens_its_own_connection(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        inherited = cache.connection()
+        pid = os.fork()
+        if pid == 0:  # child: never use the parent's handle
+            code = 1
+            try:
+                own = cache.connection()
+                code = 0 if own is not inherited and \
+                    cache.get(["0" * 64]) == {} else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert inherited.execute("SELECT COUNT(*) FROM results").fetchone() \
+            == (0,)
+
+    def test_threads_write_and_read_one_root(self, tmp_path):
+        """More threads than cores, switching often: every put lands and
+        every thread reads back every digest."""
+        res = spec().execute()
+        errors, found = [], []
+
+        def worker(k):
+            try:
+                cache = ResultCache(tmp_path)
+                for i in range(k * 20, k * 20 + 40):  # overlaps k + 1
+                    cache.put(f"{i:064x}", replace(res, cycles=i))
+                found.append(cache.get([f"{i:064x}" for i in range(140)]))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        final = ResultCache(tmp_path).get([f"{i:064x}" for i in range(140)])
+        assert final == {f"{i:064x}": replace(res, cycles=i)
+                         for i in range(140)}
+        assert len(found) == 6
+
+    def test_connection_per_thread(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        s = spec()
+        cache.put(s.digest(), s.execute())
+        seen = {}
+
+        def worker():
+            seen["db"] = cache.connection()
+            seen["found"] = ResultCache(tmp_path).get([s.digest()])
+
+        t = threading.Thread(target=worker)
+        t.start()
+        t.join()
+        assert seen["db"] is not cache.connection()
+        assert list(seen["found"]) == [s.digest()]
+        assert ResultCache(tmp_path).connection() is cache.connection()

@@ -89,9 +89,18 @@ class TestCorruptCacheEntry:
     def test_garbage_creates_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
         corrupt_cache_entry(cache, "ab" * 32, "garbage")
-        assert cache.path("ab" * 32).is_file()
-        assert cache.get("ab" * 32) is None
+        rows = "SELECT COUNT(*) FROM results WHERE digest = ?"
+        db = cache.connection()
+        assert db.execute(rows, ("ab" * 32,)).fetchone() == (1,)
+        assert cache.get(["ab" * 32]) == {}
         assert cache.quarantined == 1
+        assert db.execute(rows, ("ab" * 32,)).fetchone() == (0,)
+
+    def test_row_modes_need_a_row(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        for mode in ("truncate", "schema"):
+            with pytest.raises(KeyError):
+                corrupt_cache_entry(cache, "0" * 64, mode)
 
 
 class TestChaosAcceptance:
@@ -101,8 +110,8 @@ class TestChaosAcceptance:
     the watchdog), one injected deadlock, one *transient* crash and one
     corrupted cache entry must complete the 5 healthy runs, return
     exactly 3 RunFailures with the right categories, retry the
-    transient crash to success, and quarantine + re-simulate the
-    corrupted entry.
+    transient crash to success, and delete + re-simulate the corrupted
+    entry.
     """
 
     def test_chaos_batch(self, tmp_path):
@@ -140,10 +149,11 @@ class TestChaosAcceptance:
         assert eng.stats.retries > 0
         assert eng.stats.timeouts == 1
         assert eng.stats.failures == 3
-        # Corrupted entry was quarantined and re-simulated bit-identically.
+        # Corrupted entry was deleted and re-simulated bit-identically,
+        # and the store now holds the good result in its place.
         assert eng.stats.quarantined == 1
         assert results[-1].to_dict() == expected_last.to_dict()
-        assert list(cache.quarantine_dir().iterdir())
+        assert cache.get([ds[-1]]) == {ds[-1]: expected_last}
 
     def test_pool_transient_crash_blamed_precisely(self):
         # A hard (os._exit) crash kills the whole pool; innocent

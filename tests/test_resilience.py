@@ -1,4 +1,4 @@
-"""Resilience layer: RunFailure records, retries, timeouts, quarantine."""
+"""Resilience layer: RunFailure records, retries, timeouts, corrupt rows."""
 
 import json
 
@@ -271,52 +271,62 @@ class TestMaxCyclesOverride:
 
 
 class TestQuarantine:
+    """A corrupt row is deleted on read, counted and re-simulated; a row
+    of another schema version and an absent row are plain misses."""
+
     def _cached(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         eng = Engine(jobs=1, cache=cache)
         s = spec()
         eng.run_one(s)
-        assert cache.path(s.digest()).is_file()
+        assert self._rows(cache, s) == 1
         return cache, eng, s
+
+    @staticmethod
+    def _rows(cache, s):
+        return cache.connection().execute(
+            "SELECT COUNT(*) FROM results WHERE digest = ?",
+            (s.digest(),)).fetchone()[0]
 
     def test_corrupt_entry_quarantined_and_resimulated(self, tmp_path):
         cache, eng, s = self._cached(tmp_path)
+        expected = cache.get([s.digest()])[s.digest()]
         corrupt_cache_entry(cache, s.digest(), "garbage")
         res = eng.run_one(s)
-        assert res.ok
+        assert res.ok and res == expected
         assert cache.quarantined == 1
         assert eng.stats.quarantined == 1
-        assert not cache.path(s.digest()).is_file() or \
-            cache.get(s.digest()) is not None  # re-cached after re-sim
-        qfiles = list(cache.quarantine_dir().iterdir())
-        assert len(qfiles) == 1
-        assert qfiles[0].name == cache.path(s.digest()).name
+        assert eng.stats.sims == 2
+        # The re-simulated result replaced the corrupt row.
+        assert cache.get([s.digest()]) == {s.digest(): expected}
 
     def test_truncated_entry_quarantined(self, tmp_path):
         cache, eng, s = self._cached(tmp_path)
         corrupt_cache_entry(cache, s.digest(), "truncate")
-        assert cache.get(s.digest()) is None
+        assert cache.get([s.digest()]) == {}
         assert cache.quarantined == 1
+        assert self._rows(cache, s) == 0
 
     def test_wrong_shape_quarantined(self, tmp_path):
         cache, eng, s = self._cached(tmp_path)
         corrupt_cache_entry(cache, s.digest(), "missing-key")
-        assert cache.get(s.digest()) is None
+        assert cache.get([s.digest()]) == {}
         assert cache.quarantined == 1
+        assert self._rows(cache, s) == 0
 
     def test_schema_mismatch_is_plain_miss(self, tmp_path):
         cache, eng, s = self._cached(tmp_path)
-        path = cache.path(s.digest())
-        payload = json.loads(path.read_text())
-        payload["schema"] = CACHE_SCHEMA + 1
-        path.write_text(json.dumps(payload))
-        assert cache.get(s.digest()) is None
+        corrupt_cache_entry(cache, s.digest(), "schema")
+        (schema,), = cache.connection().execute(
+            "SELECT schema FROM results WHERE digest = ?", (s.digest(),))
+        assert schema == CACHE_SCHEMA + 1
+        assert cache.get([s.digest()]) == {}
         assert cache.quarantined == 0  # other-version entry, not corrupt
-        assert path.is_file()
+        assert self._rows(cache, s) == 1
 
     def test_missing_entry_is_plain_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        assert cache.get("0" * 64) is None
+        assert cache.get(["0" * 64]) == {}
         assert cache.quarantined == 0
 
 
