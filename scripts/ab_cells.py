@@ -1,0 +1,146 @@
+#!/usr/bin/env python
+"""Cell-interleaved A/B timing of two source trees on the fig-sweep cells.
+
+    python scripts/ab_cells.py TREE_A TREE_B [--passes 4] [--seed 31] [--tiny]
+
+``TREE_A`` and ``TREE_B`` are checkouts of this repository (say, the
+parent commit unpacked with ``git archive`` and the working tree).  One
+long-lived worker process per tree puts that tree's ``src/`` first on
+``sys.path`` and imports ``repro`` from it once, so import and warm-up
+costs stay out of the timings.  The 30 Fig. 8(c)/(d) cells (the 15
+Set-1/Set-2 apps under Unshared-LRR and under the figure's sharing
+mode, at perfbench's fig-sweep size: 4 clusters, scale 1.0, waves 3)
+run alternately on the two workers in ABBA order: cell k of a pass runs
+on A first when k is even and on B first when k is odd, so a change of
+host speed during a pass hits both trees alike.  Each cell's time is
+the worker's process CPU time inside ``runner.run``.
+
+Prints one line per pass with both CPU totals and the ratio A / B
+(above 1: B is faster), then the median ratio.  Every cell's
+``RunResult`` is compared between the trees; the script exits 1 if any
+differs.  ``--tiny`` runs the cells on 1 cluster at scale 0.15 and
+waves 1 (a smoke run of a few seconds).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def worker(src: str) -> None:
+    """Serve ``cells`` and ``run`` requests, one JSON line each."""
+    sys.path.insert(0, src)
+    import random
+    import time
+
+    from repro.config import GPUConfig
+    from repro.core.sharing import SharedResource
+    from repro.harness.runner import run, shared, unshared
+    from repro.workloads import APPS, SET1, SET2
+
+    cells: list = []
+    cfg = scale = waves = None
+    for line in sys.stdin:
+        req = json.loads(line)
+        if req["op"] == "cells":
+            fig8c = shared(SharedResource.REGISTERS, "owf", unroll=True,
+                           dyn=True)
+            fig8d = shared(SharedResource.SCRATCHPAD, "owf")
+            cells = ([(a, m) for a in SET1 for m in (unshared("lrr"), fig8c)]
+                     + [(a, m) for a in SET2
+                        for m in (unshared("lrr"), fig8d)])
+            random.Random(req["seed"]).shuffle(cells)
+            if req["tiny"]:
+                cfg, scale, waves = GPUConfig().scaled(num_clusters=1), \
+                    0.15, 1.0
+            else:
+                cfg, scale, waves = GPUConfig().scaled(num_clusters=4), \
+                    1.0, 3.0
+            out = {"cells": [f"{a} {m.label}" for a, m in cells]}
+        else:
+            app, mode = cells[req["i"]]
+            t0 = time.process_time()
+            r = run(APPS[app], mode, config=cfg, scale=scale, waves=waves)
+            out = {"cpu": time.process_time() - t0, "result": r.to_dict()}
+        sys.stdout.write(json.dumps(out) + "\n")
+        sys.stdout.flush()
+
+
+class Worker:
+    """A worker subprocess importing ``repro`` from one tree."""
+
+    def __init__(self, tree: Path) -> None:
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        self.proc = subprocess.Popen(
+            [sys.executable, __file__, "--worker", str(tree / "src")],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=env)
+
+    def ask(self, **req) -> dict:
+        assert self.proc.stdin is not None and self.proc.stdout is not None
+        self.proc.stdin.write(json.dumps(req) + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError("worker exited")
+        return json.loads(line)
+
+    def close(self) -> None:
+        assert self.proc.stdin is not None
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("tree_a", type=Path)
+    ap.add_argument("tree_b", type=Path)
+    ap.add_argument("--passes", type=int, default=4)
+    ap.add_argument("--seed", type=int, default=31)
+    ap.add_argument("--tiny", action="store_true")
+    args = ap.parse_args(argv)
+
+    workers = [Worker(args.tree_a.resolve()), Worker(args.tree_b.resolve())]
+    try:
+        labels = [w.ask(op="cells", seed=args.seed, tiny=args.tiny)["cells"]
+                  for w in workers]
+        if labels[0] != labels[1]:
+            print("the trees define different cells", file=sys.stderr)
+            return 1
+        cells = labels[0]
+        ratios, diffs = [], 0
+        for p in range(args.passes):
+            cpu = [0.0, 0.0]
+            for i, cell in enumerate(cells):
+                order = (0, 1) if i % 2 == 0 else (1, 0)
+                got = {}
+                for side in order:
+                    got[side] = workers[side].ask(op="run", i=i)
+                    cpu[side] += got[side]["cpu"]
+                if got[0]["result"] != got[1]["result"]:
+                    diffs += 1
+                    print(f"pass {p + 1}: {cell}: results differ",
+                          file=sys.stderr)
+            ratios.append(cpu[0] / cpu[1])
+            print(f"pass {p + 1}: A {cpu[0]:.2f} s  B {cpu[1]:.2f} s  "
+                  f"A/B {ratios[-1]:.3f}", flush=True)
+        print(f"median A/B {statistics.median(ratios):.3f} over "
+              f"{len(ratios)} passes of {len(cells)} cells; "
+              f"{diffs} differing results")
+        return 1 if diffs else 0
+    finally:
+        for w in workers:
+            w.close()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        worker(sys.argv[2])
+    else:
+        sys.exit(main())

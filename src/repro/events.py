@@ -37,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["EventQueue"]
 
 _READY = WarpState.READY
+_heappush = heapq.heappush
 
 #: A heap entry: ``[cycle, seq, payload]``.  The payload slot holds a
 #: callback, a wake record, or None once fired/cancelled.
@@ -56,14 +57,6 @@ class EventQueue:
         """Number of live (non-cancelled) pending events."""
         return len(self._heap) - self._n_cancelled
 
-    def _push(self, cycle: int, payload) -> Event:
-        if cycle < 0:
-            raise ValueError("cycle must be non-negative")
-        ev: Event = [cycle, self._seq, payload]
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
-        return ev
-
     def push(self, cycle: int, fn: Callable[[int], None]) -> Event:
         """Schedule ``fn`` to run at ``cycle``; returns a cancel handle.
 
@@ -71,14 +64,24 @@ class EventQueue:
         current simulation time), which equals the scheduled cycle in
         normal stepping and may be later after a bulk skip.
         """
-        return self._push(cycle, fn)
+        if cycle < 0:
+            raise ValueError("cycle must be non-negative")
+        ev: Event = [cycle, self._seq, fn]
+        self._seq += 1
+        _heappush(self._heap, ev)
+        return ev
 
     def push_wake(self, cycle: int, sm: "SMCore",
                   warp: "WarpContext") -> Event:
         """Schedule ``warp`` (blocked on ``sm``) to wake READY at
         ``cycle``.  The warp's current ``wake_token`` is captured; any
         later state change invalidates the wake."""
-        return self._push(cycle, (sm, warp, warp.wake_token))
+        if cycle < 0:
+            raise ValueError("cycle must be non-negative")
+        ev: Event = [cycle, self._seq, (sm, warp, warp.wake_token)]
+        self._seq += 1
+        _heappush(self._heap, ev)
+        return ev
 
     def cancel(self, ev: Event) -> bool:
         """Cancel a pending event in O(1); False if it already fired

@@ -354,9 +354,11 @@ class ResultCache:
     :meth:`RunResult.to_dict` JSON; :meth:`get` serves a whole batch in
     one query.  A database error is a miss or a dropped write, never a
     failed run, and a row of another :data:`CACHE_SCHEMA` is a plain
-    miss.  A row that does not decode to a result is deleted on read and
-    counted in :attr:`quarantined`, so its spec is re-simulated once
-    instead of re-parsed forever.  Old ``<root>/<xx>/<digest>.json``
+    miss.  A ``results.db`` that is not a database at all is moved
+    aside once and recreated (see :meth:`_open`).  A row that does not
+    decode to a result is deleted on read and counted in
+    :attr:`quarantined`, so its spec is re-simulated once instead of
+    re-parsed forever.  Old ``<root>/<xx>/<digest>.json``
     entries are not read.
     """
 
@@ -379,28 +381,47 @@ class ResultCache:
             for old in mine[:len(mine) + 1 - _CONNS_PER_THREAD]:
                 _CONNS.pop(old).close()
             self.root.mkdir(parents=True, exist_ok=True)
-            db = sqlite3.connect(key[2], timeout=_BUSY_S,
-                                 isolation_level=None)
-            deadline = time.monotonic() + _BUSY_S
-            while True:
-                try:
-                    db.execute("PRAGMA journal_mode=WAL")
-                    db.execute("PRAGMA synchronous=NORMAL")
-                    db.execute("CREATE TABLE IF NOT EXISTS results (digest"
-                               " TEXT PRIMARY KEY, schema INTEGER,"
-                               " payload TEXT)")
-                    break
-                except sqlite3.Error as exc:
-                    # Switching a new database to WAL fails "locked" at
-                    # once, not after the busy timeout, when another
-                    # process is doing the same: retry that.
-                    if "locked" not in str(exc) \
-                            or time.monotonic() > deadline:
-                        db.close()
-                        raise
-                    time.sleep(0.01)
+            db = self._open(key[2])
             _CONNS[key] = db
         return db
+
+    def _open(self, path: str) -> sqlite3.Connection:
+        """Connect to ``path`` and create the table.  A file that SQLite
+        cannot read as a database (not "locked", not an I/O or
+        permission error) is moved aside with its ``-wal``/``-shm``
+        files as ``*.corrupt``, counted in :attr:`quarantined`, and the
+        store is recreated, once."""
+        moved = False
+        while True:
+            db = sqlite3.connect(path, timeout=_BUSY_S, isolation_level=None)
+            deadline = time.monotonic() + _BUSY_S
+            try:
+                while True:
+                    try:
+                        db.execute("PRAGMA journal_mode=WAL")
+                        db.execute("PRAGMA synchronous=NORMAL")
+                        db.execute("CREATE TABLE IF NOT EXISTS results"
+                                   " (digest TEXT PRIMARY KEY,"
+                                   " schema INTEGER, payload TEXT)")
+                        return db
+                    except sqlite3.OperationalError as exc:
+                        # Switching a new database to WAL fails "locked"
+                        # at once, not after the busy timeout, when
+                        # another process is doing the same: retry that.
+                        if "locked" not in str(exc) \
+                                or time.monotonic() > deadline:
+                            raise
+                        time.sleep(0.01)
+            except sqlite3.Error as exc:
+                db.close()
+                if moved or isinstance(exc, sqlite3.OperationalError):
+                    raise
+            for suffix in ("", "-wal", "-shm"):
+                f = Path(path + suffix)
+                if f.exists():
+                    os.replace(f, f.with_name(f.name + ".corrupt"))
+            self.quarantined += 1
+            moved = True
 
     def get(self, digests: Sequence[str]) -> dict[str, RunResult]:
         """Stored results of those ``digests`` that have one."""

@@ -60,9 +60,6 @@ class Cache:
         self.gen = 0
 
     # ------------------------------------------------------------------
-    def _set_index(self, line_addr: int) -> int:
-        return (line_addr // self.line_size) % self.n_sets
-
     def probe(self, line_addr: int) -> bool:
         """Non-destructive presence check (no stats, no LRU update)."""
         return line_addr in self._present
@@ -77,7 +74,7 @@ class Cache:
         self.stats.accesses += 1
         if line_addr in self._present:
             self.stats.hits += 1
-            s = self._sets[self._set_index(line_addr)]
+            s = self._sets[(line_addr // self.line_size) % self.n_sets]
             s.remove(line_addr)
             s.append(line_addr)  # MRU
             return "hit"
@@ -102,7 +99,7 @@ class Cache:
     def fill(self, line_addr: int) -> list[object]:
         """Install a returning line; returns and clears its waiters."""
         waiters = self.mshr.pop(line_addr, [])
-        s = self._sets[self._set_index(line_addr)]
+        s = self._sets[(line_addr // self.line_size) % self.n_sets]
         if line_addr not in s:
             if len(s) >= self.assoc:
                 self._present.discard(s.pop(0))  # evict LRU

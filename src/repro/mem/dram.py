@@ -14,6 +14,7 @@ the partition's data bus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.config import GPUConfig
@@ -96,16 +97,25 @@ class DramController:
 
     # ------------------------------------------------------------------
     def _pick(self, bank: _Bank, now: int) -> int:
-        """Index into ``bank.queue`` of the request to serve (FR-FCFS)."""
-        oldest_i = min(range(len(bank.queue)), key=lambda i: bank.queue[i][0])
-        if now - bank.queue[oldest_i][0] > self.STARVE_CAP:
+        """Index into ``bank.queue`` of the request to serve (FR-FCFS).
+
+        One pass finds the oldest request and the oldest open-row hit;
+        ties go to the earlier queue position.
+        """
+        open_row = bank.open_row
+        oldest_i = hit_i = -1
+        oldest = hit = 0
+        for i, req in enumerate(bank.queue):
+            enq = req[0]
+            if oldest_i < 0 or enq < oldest:
+                oldest_i = i
+                oldest = enq
+            if req[1] == open_row and (hit_i < 0 or enq < hit):
+                hit_i = i
+                hit = enq
+        if hit_i < 0 or now - oldest > self.STARVE_CAP:
             return oldest_i
-        if bank.open_row is not None:
-            hits = [i for i, r in enumerate(bank.queue)
-                    if r[1] == bank.open_row]
-            if hits:
-                return min(hits, key=lambda i: bank.queue[i][0])
-        return oldest_i
+        return hit_i
 
     def _schedule(self, bank_idx: int, now: int) -> None:
         bank = self.banks[bank_idx]
@@ -137,10 +147,10 @@ class DramController:
         bank.free_at = done
         bank.busy = True
 
-        def _complete(cycle: int, *, bank_idx: int = bank_idx,
-                      cb: Callable[[int], None] = cb) -> None:
-            self.banks[bank_idx].busy = False
-            cb(cycle)
-            self._schedule(bank_idx, cycle)
+        self.events.push(done, partial(self._complete, bank_idx, cb))
 
-        self.events.push(done, _complete)
+    def _complete(self, bank_idx: int, cb: Callable[[int], None],
+                  cycle: int) -> None:
+        self.banks[bank_idx].busy = False
+        cb(cycle)
+        self._schedule(bank_idx, cycle)

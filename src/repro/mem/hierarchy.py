@@ -2,15 +2,16 @@
 
 The SM's LD/ST unit calls :meth:`MemoryHierarchy.try_load` /
 :meth:`MemoryHierarchy.store` with the coalesced line addresses of one
-warp memory instruction.  Loads complete via a countdown token — the
-warp's destination register becomes ready when the *last* transaction
-returns, matching how a warp's scoreboard works.  Stores are
+warp memory instruction.  A load of several lines completes via a
+countdown token — the warp's destination register becomes ready when
+the *last* transaction returns, matching how a warp's scoreboard works.  Stores are
 write-through/no-allocate at L1 and write-allocate at L2, and never block
 the warp (no destination register).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.config import GPUConfig
@@ -72,6 +73,10 @@ class MemoryHierarchy:
 
     # ------------------------------------------------------------------
     # load path
+    #
+    # Each stage of a transaction is a bound method scheduled through
+    # ``functools.partial`` with its (SM, line) arguments: one Python
+    # frame per stage, no closure per transaction.
     # ------------------------------------------------------------------
     def try_load(self, sm_id: int, lines: tuple[int, ...], now: int,
                  on_done: Callable[[int], None], *,
@@ -93,7 +98,7 @@ class MemoryHierarchy:
         for ln in uniq:
             if ln not in present and ln not in mshr:
                 new += 1
-        if new > l1.mshr_free:
+        if new > l1.n_mshrs - len(mshr):
             l1.stats.mshr_rejects += 1
             if self._obs_on:
                 self.obs.mshr_reject(sm_id, now)
@@ -101,51 +106,52 @@ class MemoryHierarchy:
         if self._obs_on:
             self.obs.mshr_sample(sm_id, len(mshr) + new, l1.n_mshrs, now)
             on_done = self.obs.mem_request(sm_id, len(uniq), now, on_done)
-        token = _LoadToken(len(uniq), on_done)
+        # An L1 waiter is called with the cycle its line arrives.  A
+        # one-line load completes with its line; a wider one counts
+        # its lines down.
+        done = (on_done if len(uniq) == 1
+                else _LoadToken(len(uniq), on_done).line_done)
+        push = self.events.push
+        hit_at = now + self.lat.l1_hit
+        at_l2 = now + self.lat.interconnect
         for ln in uniq:
-            res = l1.lookup(ln, token)
+            res = l1.lookup(ln, done)
             if res == "hit":
-                self.events.push(now + self.lat.l1_hit, token.line_done)
+                push(hit_at, done)
             elif res == "miss":
-                self._send_to_l2(sm_id, ln, now)
-            else:  # merge: token fires when the in-flight fill returns
+                push(at_l2, partial(self._l2_load, sm_id, ln))
+            else:  # merge: ``done`` fires when the in-flight fill returns
                 assert res == "merge"
         return True
-
-    def _send_to_l2(self, sm_id: int, line: int, now: int) -> None:
-        arrive = now + self.lat.interconnect
-
-        def _at_l2(cycle: int) -> None:
-            self._l2_load(sm_id, line, cycle)
-
-        self.events.push(arrive, _at_l2)
 
     def _l2_load(self, sm_id: int, line: int, now: int) -> None:
         p = self._partition(line)
         l2 = self.l2[p]
-
-        def _deliver(cycle: int) -> None:
-            self.events.push(cycle + self.lat.interconnect,
-                             lambda c: self._l1_fill(sm_id, line, c))
-
-        res = l2.lookup(line, _deliver)
+        deliver = partial(self._l2_deliver, sm_id, line)
+        res = l2.lookup(line, deliver)
         if res == "hit":
-            self.events.push(now + self.lat.l2_hit, _deliver)
+            self.events.push(now + self.lat.l2_hit, deliver)
         elif res == "miss":
-            def _from_dram(cycle: int) -> None:
-                for waiter in l2.fill(line):
-                    waiter(cycle)
             self.dram[p].access(
                 line, now + self.lat.l2_hit + self.lat.dram_fixed,
-                is_store=False, on_complete=_from_dram)
+                is_store=False, on_complete=partial(self._l2_fill, l2, line))
         elif res == "reject":
             self.events.push(now + _L2_RETRY,
-                             lambda c: self._l2_load(sm_id, line, c))
-        # merge: nothing to do, the pending fill will call _deliver
+                             partial(self._l2_load, sm_id, line))
+        # merge: nothing to do, the pending fill will call ``deliver``
+
+    @staticmethod
+    def _l2_fill(l2: Cache, line: int, cycle: int) -> None:
+        for deliver in l2.fill(line):
+            deliver(cycle)
+
+    def _l2_deliver(self, sm_id: int, line: int, cycle: int) -> None:
+        self.events.push(cycle + self.lat.interconnect,
+                         partial(self._l1_fill, sm_id, line))
 
     def _l1_fill(self, sm_id: int, line: int, cycle: int) -> None:
-        for token in self.l1[sm_id].fill(line):
-            token.line_done(cycle)
+        for done in self.l1[sm_id].fill(line):
+            done(cycle)
 
     # ------------------------------------------------------------------
     # store path
@@ -153,10 +159,10 @@ class MemoryHierarchy:
     def store(self, sm_id: int, lines: tuple[int, ...], now: int) -> None:
         """Issue a warp store (write-through, never blocks the warp)."""
         l1 = self.l1[sm_id]
+        at_l2 = now + self.lat.interconnect
         for ln in dict.fromkeys(lines):
             l1.lookup(ln, None, allocate=False)
-            self.events.push(now + self.lat.interconnect,
-                             lambda c, ln=ln: self._l2_store(ln, c))
+            self.events.push(at_l2, partial(self._l2_store, ln))
 
     def _l2_store(self, line: int, now: int) -> None:
         p = self._partition(line)
@@ -166,7 +172,11 @@ class MemoryHierarchy:
             # Write-allocate at L2: install the line when DRAM acks.
             self.dram[p].access(
                 line, now + self.lat.dram_fixed, is_store=True,
-                on_complete=lambda c: l2.fill(line))
+                on_complete=partial(self._l2_install, l2, line))
+
+    @staticmethod
+    def _l2_install(l2: Cache, line: int, cycle: int) -> None:
+        l2.fill(line)
 
     # ------------------------------------------------------------------
     # stats

@@ -24,6 +24,11 @@ __all__ = ["AddressMap", "coalesce_lines", "mix64"]
 
 _REGION_SPACING = 1 << 34  # bytes between region bases (sparse layout)
 
+# Hot-path aliases: enum member access goes through the Enum metaclass.
+_COALESCED = Pattern.COALESCED
+_BROADCAST = Pattern.BROADCAST
+_STRIDED = Pattern.STRIDED
+
 
 def mix64(x: int) -> int:
     """SplitMix64 finaliser — a cheap deterministic 64-bit hash."""
@@ -39,6 +44,12 @@ class AddressMap:
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._bases: dict[str, int] = {}
+        #: (id(mem), block_linear, line_size) → (mem, line-aligned block
+        #: base, line count), filled by :func:`coalesce_lines`.  Each
+        #: entry holds its MemDesc, so no other descriptor can take that
+        #: id while the key exists.  (Hashing the frozen dataclass itself
+        #: costs more than the arithmetic the memo saves.)
+        self._lines: dict[tuple[int, int, int], tuple[MemDesc, int, int]] = {}
 
     def region_base(self, region: str) -> int:
         """Base byte address of ``region`` (assigned on first use)."""
@@ -68,31 +79,33 @@ def coalesce_lines(mem: MemDesc, amap: AddressMap, *, block_linear: int,
     Addresses wrap modulo the region footprint, so small footprints
     produce reuse and large footprints stream.
     """
-    base = amap.block_base(mem, block_linear)
-    n_lines = max(1, mem.footprint // line_size)
-    if mem.pattern is Pattern.COALESCED:
+    key = (id(mem), block_linear, line_size)
+    memo = amap._lines.get(key)
+    if memo is None:
+        base = amap.block_base(mem, block_linear) // line_size * line_size
+        n_lines = max(1, mem.footprint // line_size)
+        amap._lines[key] = (mem, base, n_lines)
+    else:
+        base = memo[1]
+        n_lines = memo[2]
+    pattern = mem.pattern
+    if pattern is _COALESCED:
         # Unit-stride streaming: each warp walks consecutive lines of its
         # (or the shared) region, one line per iteration.
         lane = warp_in_block if mem.block_private else (
             block_linear * warps_per_block + warp_in_block)
-        line_off = (lane * 17 + iter_idx) % n_lines
-        return (base // line_size * line_size + line_off * line_size,)
-    if mem.pattern is Pattern.BROADCAST:
-        line_off = (iter_idx * 3) % n_lines
-        return (base // line_size * line_size + line_off * line_size,)
-    out = []
-    if mem.pattern is Pattern.STRIDED:
+        return (base + (lane * 17 + iter_idx) % n_lines * line_size,)
+    if pattern is _BROADCAST:
+        return (base + (iter_idx * 3) % n_lines * line_size,)
+    txn = mem.txn
+    if pattern is _STRIDED:
         # txn equally spaced lines per access, advancing each iteration.
-        stride = max(1, n_lines // max(1, mem.txn))
-        start = (warp_in_block + iter_idx * mem.txn) % n_lines
-        for k in range(mem.txn):
-            line_off = (start + k * stride) % n_lines
-            out.append(base // line_size * line_size + line_off * line_size)
-        return tuple(out)
+        stride = max(1, n_lines // txn)
+        start = (warp_in_block + iter_idx * txn) % n_lines
+        return tuple([base + (start + k * stride) % n_lines * line_size
+                      for k in range(txn)])
     # RANDOM: txn pseudo-random lines (MUM-style divergent gather).
-    key = (seed << 1) ^ (block_linear * 0x10001) ^ (warp_in_block << 20)
-    for k in range(mem.txn):
-        h = mix64(key + iter_idx * 131 + k)
-        line_off = h % n_lines
-        out.append(base // line_size * line_size + line_off * line_size)
-    return tuple(out)
+    at = (((seed << 1) ^ (block_linear * 0x10001) ^ (warp_in_block << 20))
+          + iter_idx * 131)
+    return tuple([base + mix64(at + k) % n_lines * line_size
+                  for k in range(txn)])

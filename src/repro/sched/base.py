@@ -14,11 +14,16 @@ when ``port_free`` is false (the SM's single LD/ST port already issued
 this cycle), drops warps whose next instruction uses the port.  Id
 order is the order every policy is defined over: LRR rotates through
 it, GTO/OWF take the oldest, two-level walks it in fetch groups.  The
-SM then attempts the issue and calls ``on_issued`` on success; if the
+SM then attempts the issue and on success records the warp as
+``last``, the one piece of history LRR, GTO and OWF read; if the
 warp turns out to be blocked (shared-pool lock, Dyn refusal, MSHR
 rejection) it leaves READY and ``select`` is consulted again in the
 same cycle.  The fast and the reference SM core call the same
 ``select``.
+
+A policy that keeps more history than ``last`` overrides
+``on_issued``; the fast core calls it only for such a policy (two-level
+today) and otherwise sets ``last`` itself, saving a call per issue.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ class WarpScheduler:
         self.n_ready += 1
 
     def on_issued(self, warp: "WarpContext") -> None:
+        """Record ``warp`` as the last issued warp of this partition."""
         self.last = warp
 
     def select(self, port_free: bool) -> Optional["WarpContext"]:

@@ -20,12 +20,9 @@ class LRRScheduler(WarpScheduler):
 
     name = "lrr"
 
-    def __init__(self, sched_id: int, **kw: object) -> None:
-        super().__init__(sched_id, **kw)
-        self._after = -1
-
     def select(self, port_free: bool) -> Optional["WarpContext"]:
-        after = self._after
+        last = self.last
+        after = -1 if last is None else last.dynamic_id
         wrap = None  # oldest candidate, taken when none is after ``after``
         for w in self.warps:
             if w.state is _READY and (port_free or not w.instr.uses_port):
@@ -34,10 +31,6 @@ class LRRScheduler(WarpScheduler):
                 if wrap is None:
                     wrap = w
         return wrap
-
-    def on_issued(self, warp: "WarpContext") -> None:
-        self.last = warp
-        self._after = warp.dynamic_id
 
 
 SCHEDULERS["lrr"] = LRRScheduler

@@ -36,6 +36,13 @@ class OWFScheduler(WarpScheduler):
     name = "owf"
 
     def select(self, port_free: bool) -> Optional["WarpContext"]:
+        last = self.last
+        if (last is not None and last.state is _READY
+                and (port_free or not last.instr.uses_port)):
+            blk = last.block
+            pair = blk.pair
+            if pair is not None and pair.owner == blk.side:
+                return last  # nothing outranks a sticky owner
         best: Optional["WarpContext"] = None
         best_cls = 3
         for w in self.warps:  # id order ⇒ first hit per class is oldest
@@ -54,7 +61,6 @@ class OWFScheduler(WarpScheduler):
                     break
         if best is None:
             return None
-        last = self.last
         if (last is not None and last is not best
                 and last.state is _READY
                 and last.owf_class() == best_cls

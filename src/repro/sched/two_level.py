@@ -34,12 +34,12 @@ class TwoLevelScheduler(WarpScheduler):
             raise ValueError("fetch_group_size must be >= 1")
         self.group_size = fetch_group_size
         self._active_group = 0
-        self._after = -1
 
     def select(self, port_free: bool) -> Optional["WarpContext"]:
         gs = self.group_size
         g = self._active_group
-        after = self._after
+        last = self.last
+        after = -1 if last is None else last.dynamic_id
         # Pass 1: round-robin inside the active group.
         wrap = None
         for w in self.warps:
@@ -62,7 +62,6 @@ class TwoLevelScheduler(WarpScheduler):
 
     def on_issued(self, warp: "WarpContext") -> None:
         self.last = warp
-        self._after = warp.dynamic_id
         self._active_group = warp.dynamic_id // self.group_size
 
 

@@ -188,10 +188,9 @@ class GPU:
         sanitizer = self.sanitizer
 
         self._prologue()
-        kinds = [""] * len(sms)
-        # (SM, its stats, its category counters, its index): the objects
-        # live as long as the SM, so the loop reads each once per visit.
-        visits = [(sm, sm.stats, sm._cat_n, i) for i, sm in enumerate(sms)]
+        # (SM, its stats, its category counters): the objects live as
+        # long as the SM, so the loop reads each once per visit.
+        visits = [(sm, sm.stats, sm._cat_n) for sm in sms]
         cats = [sm._cat_n for sm in sms]
         grid = dispatcher.kernel.grid_blocks  # dispatcher.done, inlined
         cycle = 0
@@ -202,36 +201,39 @@ class GPU:
                 if dispatcher.completed >= grid:
                     break
             all_zero = True
-            for sm, st, c, i in visits:
+            for sm, st, c in visits:
                 # classify()/account() inlined: this runs once per SM
                 # per simulated cycle.
                 if c[0] and sm.step(cycle):
                     st.active_cycles += 1
-                    kinds[i] = "active"
                     all_zero = False
-                    continue
-                if c[1]:
+                elif c[1]:
                     st.stall_cycles += 1
-                    kinds[i] = "stall"
                     if dyn is not None:
                         dyn.record_stall(sm.sm_id)
                 elif c[0] or c[2]:
                     st.idle_cycles += 1
-                    kinds[i] = "idle"
                 else:
                     st.empty_cycles += 1
-                    kinds[i] = "empty"
             cycle += 1
             if all_zero and not any(c[0] for c in cats):
                 nxt = events.next_cycle()
                 if nxt is None:
                     raise SimulationDeadlock(self._deadlock_report(cycle))
                 if nxt > cycle:
+                    # No SM issued, and a step that issues nothing moves
+                    # no warp of another SM, so each SM's counters still
+                    # give the class it was charged this cycle.
                     gap = nxt - cycle
-                    for sm, kind in zip(sms, kinds):
-                        sm.account(kind, gap)
-                        if dyn is not None and kind == "stall":
-                            dyn.record_stall(sm.sm_id, gap)
+                    for sm, st, c in visits:
+                        if c[1]:
+                            st.stall_cycles += gap
+                            if dyn is not None:
+                                dyn.record_stall(sm.sm_id, gap)
+                        elif c[2]:
+                            st.idle_cycles += gap
+                        else:
+                            st.empty_cycles += gap
                     cycle = nxt
             if sanitizer is not None:
                 sanitizer.maybe_check(self, cycle)

@@ -19,7 +19,8 @@ gate (see :meth:`SMCore.step`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Optional
 
 from repro.config import GPUConfig
 from repro.core.dynwarp import DynWarpController
@@ -148,6 +149,11 @@ class SMCore:
                            fetch_group_size=config.fetch_group_size)
             for i in range(config.num_schedulers)
         ]
+        #: True when the policy keeps history beyond ``last`` (see
+        #: ``repro.sched.base``): only then does an issue call
+        #: ``on_issued``; otherwise ``step`` sets ``last`` itself.
+        self._issue_hook = (type(self.schedulers[0]).on_issued
+                            is not WarpScheduler.on_issued)
         self.stats = SMStats(sm_id=sm_id)
         self.warps: list[WarpContext] = []
         self.resident_blocks = 0
@@ -246,7 +252,7 @@ class SMCore:
         for r in dst:
             warp.reg_ready[r] = cycle
         warp.outstanding_loads -= 1
-        if warp.state is WarpState.BLOCK_MEM:
+        if warp.state is _BLOCK_MEM:
             self._update_readiness(warp, cycle)
 
     def _on_lock_release(self) -> None:
@@ -335,7 +341,9 @@ class SMCore:
                     stats.issued_owner += 1
                 else:
                     stats.issued_nonowner += 1
-                sched.on_issued(w)
+                sched.last = w
+                if self._issue_hook:
+                    sched.on_issued(w)
                 issued += 1
                 if code == _G_EXIT:
                     self._finish_warp(w, cycle)
@@ -459,25 +467,28 @@ class SMCore:
                         # same verdict — replay the rejection in O(1)
                         # (same counters, same state transition).
                         l1.stats.mshr_rejects += 1
+                        if self._obs_on:
+                            self.obs.mshr_reject(self.sm_id, cycle)
                         stats.mshr_stalls += 1
                         self._set_state(warp, _BLOCK_RETRY)
                         self.events.push_wake(cycle + _MSHR_RETRY,
                                               self, warp)
                         return False
                 else:
-                    lines = tuple(dict.fromkeys(coalesce_lines(
+                    lines = coalesce_lines(
                         m, self.amap, block_linear=block.linear_id,
                         warp_in_block=warp.slot,
                         warps_per_block=block.n_warps,
                         iter_idx=warp.iter_idx,
                         line_size=self.cfg.line_size,
-                        seed=self.kernel.seed)))
+                        seed=self.kernel.seed)
+                    if len(lines) > 1:
+                        lines = tuple(dict.fromkeys(lines))
                 dst = ins.dst
-                on_done: Callable[[int], None] = (
-                    lambda c, w=warp, d=dst: self._on_load_done(w, d, c))
-                if not self.hierarchy.try_load(self.sm_id, lines, cycle,
-                                               on_done,
-                                               assume_unique=True):
+                if not self.hierarchy.try_load(
+                        self.sm_id, lines, cycle,
+                        partial(self._on_load_done, warp, dst),
+                        assume_unique=True):
                     stats.mshr_stalls += 1
                     warp.pend_valid = True
                     warp.pend_lines = lines

@@ -1,5 +1,7 @@
 """Coalescer and address map."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,3 +135,28 @@ def test_property_lines_always_inside_region(pat, txn, block, warp, it,
     for ln in out:
         assert ln % LINE == 0
         assert lo <= ln <= hi
+
+
+def test_reused_map_matches_fresh_maps_across_dropped_descs():
+    # MemDescs are made and dropped in a loop, so a new descriptor can
+    # take the memory (and the id) of a dropped one with other fields;
+    # one long-lived map must still give what a fresh map gives.
+    regions = ("a", "b", "c")
+    shared = AddressMap(seed=5)
+    for r in regions:
+        shared.region_base(r)
+    rng = random.Random(11)
+    for i in range(400):
+        m = desc(pattern=rng.choice(list(Pattern)), txn=rng.randint(1, 8),
+                 footprint=rng.choice((LINE, 3 * LINE, 4096, 1 << 16))
+                 + rng.randrange(0, LINE),
+                 block_private=rng.random() < 0.5,
+                 region=rng.choice(regions))
+        fresh = AddressMap(seed=5)
+        for r in regions:
+            fresh.region_base(r)
+        for _ in range(3):
+            kw = dict(block=rng.randrange(0, 40), warp=rng.randrange(0, 8),
+                      it=rng.randrange(0, 100), seed=i)
+            assert lines(m, amap=shared, **kw) == lines(m, amap=fresh, **kw)
+        del m

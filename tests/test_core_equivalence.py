@@ -28,6 +28,7 @@ from repro.harness.golden import (CORE_APPS, check_core_goldens,
                                   core_config, core_key,
                                   core_matrix, golden_core_path)
 from repro.harness.runner import run, shared, unshared
+from repro.obs import Observer
 from repro.sim.trace import TraceRecorder
 from repro.workloads.apps import APPS
 from repro.workloads.generator import GeneratorParams, generate_kernel
@@ -198,6 +199,33 @@ class TestGeneratedKernels:
             logs.append(tr.events)
         assert results[0] == results[1], "fast and reference results differ"
         assert logs[0] == logs[1], "fast and reference issue order differ"
+
+
+class TestObservedCoresAgree:
+    """With metrics on, both cores report equal ``metrics`` dicts.
+
+    The backprop cell makes hundreds of MSHR rejections, most of which
+    the fast core replays in O(1); each must still reach the observer.
+    """
+
+    def test_mshr_replay_cell(self):
+        cfg = GPUConfig().scaled(num_clusters=1)
+        metrics = [run(APPS["backprop"], unshared("lrr"), config=cfg,
+                       scale=0.3, waves=1.0, core=core,
+                       obs=Observer(metrics=True)).metrics
+                   for core in ("fast", "reference")]
+        assert metrics[0]["counters"]["mshr_rejects{sm=0}"] > 100
+        assert metrics[0] == metrics[1]
+
+    @pytest.mark.parametrize(
+        "seed,mode,clusters", [_GEN_CELLS[i] for i in (1, 4, 9, 13)],
+        ids=lambda v: getattr(v, "label", str(v)))
+    def test_generated_cells(self, seed, mode, clusters):
+        kernel, cfg = _gen_cell(seed, mode, clusters)
+        metrics = [run(kernel, mode, config=cfg, waves=3.0, core=core,
+                       obs=Observer(metrics=True)).metrics
+                   for core in ("fast", "reference")]
+        assert metrics[0] == metrics[1]
 
 
 class TestCoreSelection:

@@ -134,3 +134,60 @@ class TestFRFCFS:
         assert d.queued == 1  # one in service, one waiting
         drain(ev)
         assert d.queued == 0
+
+
+def _same_bank_rows(d, n):
+    """``n`` line addresses of bank 0, each in a different row (1..n)."""
+    cfg = d.cfg
+    row_bytes = (cfg.line_size * cfg.num_mem_partitions * d.lines_per_row
+                 * len(d.banks))
+    addrs = [k * row_bytes for k in range(1, n + 1)]
+    assert [d.locate(a) for a in addrs] == [(0, k) for k in range(1, n + 1)]
+    return addrs
+
+
+class TestPickOrder:
+    """FR-FCFS ties: equal enqueue cycles are served in queue order."""
+
+    def test_equal_enqueue_cycles_served_in_queue_order(self):
+        _, ev, d = setup()
+        done = []
+        d.access(0, 0, is_store=False, on_complete=lambda c: done.append("warm"))
+        # Every queued request opens its own row, so no row hit reorders
+        # them: the pick is by enqueue cycle, ties in queue order.
+        for i, a in enumerate(_same_bank_rows(d, 5)):
+            d.access(a, 3, is_store=i % 2 == 1,
+                     on_complete=lambda c, i=i: done.append(i))
+        drain(ev)
+        assert done == ["warm", 0, 1, 2, 3, 4]
+
+    def test_older_store_behind_younger_load(self):
+        # Loads reach DRAM after the L2 hit latency, stores do not, so a
+        # store queued after a load can carry the older enqueue cycle.
+        _, ev, d = setup()
+        done = []
+        d.access(0, 0, is_store=False, on_complete=lambda c: done.append("warm"))
+        a, b, c, e = _same_bank_rows(d, 4)
+        d.access(a, 12, is_store=False, on_complete=lambda x: done.append("ld12"))
+        d.access(b, 10, is_store=True, on_complete=lambda x: done.append("st10"))
+        d.access(c, 12, is_store=True, on_complete=lambda x: done.append("st12"))
+        d.access(e, 10, is_store=False, on_complete=lambda x: done.append("ld10"))
+        drain(ev)
+        assert done == ["warm", "st10", "ld10", "ld12", "st12"]
+
+    def test_equal_row_hits_served_in_queue_order(self):
+        cfg, ev, d = setup()
+        done = []
+        stride = cfg.line_size * cfg.num_mem_partitions
+        far = _same_bank_rows(d, 1)[0]
+        d.access(0, 0, is_store=False, on_complete=lambda c: done.append("warm"))
+        # An older row miss, then row hits of row 0: a younger load, and
+        # a store and a load sharing an older enqueue cycle.
+        d.access(far, 1, is_store=False, on_complete=lambda c: done.append("miss"))
+        d.access(stride, 6, is_store=False, on_complete=lambda c: done.append("hit6"))
+        d.access(2 * stride, 4, is_store=True,
+                 on_complete=lambda c: done.append("st4"))
+        d.access(3 * stride, 4, is_store=False,
+                 on_complete=lambda c: done.append("ld4"))
+        drain(ev)
+        assert done == ["warm", "st4", "ld4", "hit6", "miss"]

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -561,6 +562,47 @@ class TestCorruptRows:
         res = eng.run_one(s)
         assert eng.stats.quarantined == 1 and eng.stats.sims == 1
         assert cache.get([s.digest()]) == {s.digest(): res}
+
+
+class TestCorruptStore:
+    """A ``results.db`` SQLite cannot read is moved aside once and the
+    store recreated, instead of turning the cache off."""
+
+    def test_random_bytes_store_recreated(self, tmp_path, capsys):
+        from repro.harness.__main__ import main as harness_main
+        (tmp_path / "results.db").write_bytes(
+            random.Random(5).randbytes(5000))
+        argv = ["fig8c", "--clusters", "1", "--scale", "0.15", "--waves",
+                "1", "--jobs", "1", "--cache-dir", str(tmp_path)]
+        footers = []
+        for _ in range(2):
+            assert harness_main(argv) == 0
+            footers.append(capsys.readouterr().out.strip().splitlines()[-1])
+        assert "16 sims, 0 cache hits" in footers[0]
+        assert "1 quarantined" in footers[0]
+        assert "0 sims, 16 cache hits" in footers[1]
+        assert (tmp_path / "results.db.corrupt").read_bytes() == \
+            random.Random(5).randbytes(5000)
+
+    def test_moved_aside_once_and_counted(self, tmp_path):
+        (tmp_path / "results.db").write_bytes(b"x" * 5000)
+        cache = ResultCache(tmp_path)
+        s = spec()
+        cache.put(s.digest(), s.execute())
+        assert cache.quarantined == 1
+        assert (tmp_path / "results.db.corrupt").read_bytes() == b"x" * 5000
+        assert list(cache.get([s.digest()])) == [s.digest()]
+        assert cache.quarantined == 1
+
+    def test_unwritable_root_is_still_a_plain_miss(self, tmp_path):
+        root = tmp_path / "file"
+        root.write_text("not a directory")
+        cache = ResultCache(root)
+        s = spec()
+        cache.put(s.digest(), s.execute())
+        assert cache.get([s.digest()]) == {}
+        assert cache.quarantined == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 #: Writer process of ``test_two_processes_write_one_root``: waits for

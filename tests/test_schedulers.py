@@ -4,6 +4,8 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sched.base import SCHEDULERS, make_scheduler
 from repro.sim.warp import WarpContext, WarpState
@@ -243,3 +245,109 @@ class TestPortTaken:
         if name == "two_level":
             assert s._active_group == 2
             assert s.select(True) is ws[4]  # stays in the new group
+
+
+# ----------------------------------------------------------------------
+# Every policy against a naive statement of it
+# ----------------------------------------------------------------------
+
+class NaivePolicy:
+    """Each policy restated over sorted candidate lists.
+
+    ``cands`` are the partition's READY warps that may issue (the port
+    filter applied), in ascending id order.  The model keeps its own
+    ``last`` and, for two-level, its own active group and rotation
+    point, updated exactly where the policy says.
+    """
+
+    def __init__(self, name, group_size):
+        self.name = name
+        self.gs = group_size
+        self.last = None
+        self.group = 0
+        self.after = -1
+
+    @staticmethod
+    def eligible(w, port_free):
+        return w.state is WarpState.READY and (port_free
+                                               or not w.instr.uses_port)
+
+    def select(self, warps, port_free):
+        cands = sorted((w for w in warps if self.eligible(w, port_free)),
+                       key=lambda w: w.dynamic_id)
+        if not cands:
+            return None
+        last = self.last
+        sticky = last is not None and self.eligible(last, port_free)
+        if self.name == "lrr":
+            after = -1 if last is None else last.dynamic_id
+            later = [w for w in cands if w.dynamic_id > after]
+            return (later or cands)[0]
+        if self.name == "gto":
+            return last if sticky else cands[0]
+        if self.name == "owf":
+            top = min(w.owf_class() for w in cands)
+            if sticky and last.owf_class() == top:
+                return last
+            return [w for w in cands if w.owf_class() == top][0]
+        in_group = [w for w in cands if w.dynamic_id // self.gs == self.group]
+        if in_group:
+            later = [w for w in in_group if w.dynamic_id > self.after]
+            return (later or in_group)[0]
+        self.group = cands[0].dynamic_id // self.gs
+        return cands[0]
+
+    def on_issued(self, w):
+        self.last = w
+        self.after = w.dynamic_id
+        self.group = w.dynamic_id // self.gs
+
+
+class OwnedPair:
+    def __init__(self, owner):
+        self.owner = owner
+
+
+_warp_spec = st.tuples(st.integers(1, 3),        # id gap to the previous
+                       st.sampled_from([None, 0, 1]),  # pair owner
+                       st.integers(0, 1),        # block side
+                       st.booleans(),            # uses the port
+                       st.booleans())            # READY
+
+
+@given(name=st.sampled_from(sorted(SCHEDULERS)),
+       spec=st.lists(_warp_spec, min_size=0, max_size=12),
+       group_size=st.integers(1, 4),
+       data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_select_matches_naive_policy(name, spec, group_size, data):
+    warps, wid = [], -1
+    for gap, owner, side, port, ready in spec:
+        wid += gap
+        w = StubWarp(wid, port=port)
+        w.block = SimpleNamespace(
+            pair=None if owner is None else OwnedPair(owner), side=side)
+        w.state = WarpState.READY if ready else WarpState.BLOCK_MEM
+        warps.append(w)
+    s = scheduler(name, warps, fetch_group_size=group_size)
+    model = NaivePolicy(name, group_size)
+    if warps and data.draw(st.booleans(), label="has last"):
+        # ``last`` may be any warp, READY or not (also one that left).
+        last = data.draw(st.sampled_from(warps), label="last")
+        s.on_issued(last)
+        model.on_issued(last)
+    for _ in range(data.draw(st.integers(1, 8), label="rounds")):
+        port_free = data.draw(st.booleans(), label="port_free")
+        got = s.select(port_free)
+        want = model.select(warps, port_free)
+        assert got is want
+        if got is not None and data.draw(st.booleans(), label="issue"):
+            s.on_issued(got)
+            model.on_issued(got)
+        for w in warps:  # ownership moves and warps block or wake
+            if data.draw(st.integers(0, 3), label="flip") == 0:
+                w.state = (WarpState.BLOCK_SB if w.state is WarpState.READY
+                           else WarpState.READY)
+            if w.block.pair is not None and data.draw(
+                    st.integers(0, 5), label="move owner") == 0:
+                w.block.pair.owner = 1 - w.block.pair.owner

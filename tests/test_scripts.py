@@ -17,6 +17,7 @@ def _load(name):
 
 build_mod = _load("build_experiments_md")
 chaos_mod = _load("chaos_fuzz")
+ab_mod = _load("ab_cells")
 
 HARNESS_LOG = """== Fig 1: resident thread blocks and resource waste ==
 app       blocks
@@ -94,3 +95,12 @@ class TestChaosDifferential:
         monkeypatch.setattr(chaos_mod, "run_reference", skewed)
         assert chaos_mod.main(self.ARGS) == 1
         assert "fast core != reference core" in capsys.readouterr().err
+
+
+class TestAbCells:
+    def test_same_tree_tiny(self, capsys):
+        root = str(SCRIPTS.parent)
+        assert ab_mod.main([root, root, "--tiny", "--passes", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "pass 1: A " in out
+        assert "over 1 passes of 30 cells; 0 differing results" in out
