@@ -3,8 +3,12 @@
 The sim-free experiments (occupancy, Eq. 4 block counts, overhead bits)
 are exact reproductions of paper tables and must never drift.  Their
 canonical outputs are committed in ``golden_data.json``;
-:func:`check_goldens` re-runs them and reports any mismatch.  Regenerate
-with ``python -m repro.harness.golden`` after an *intentional* change.
+:func:`check_goldens` re-runs them and reports any mismatch.  The same
+file pins, under :data:`TINY_KEY`, the rows of *every* experiment on a
+one-cluster machine at scale 0.15 and one grid wave (simulations
+included, a few seconds; :func:`collect_tiny`), so a harness refactor
+cannot change what any table says.  Regenerate with
+``python -m repro.harness.golden`` after an *intentional* change.
 
 A second golden layer pins the *simulator core* itself:
 ``golden_core.json`` holds full :class:`RunResult` fingerprints for a
@@ -28,17 +32,22 @@ from typing import Iterator
 
 from repro.config import GPUConfig
 from repro.core.sharing import SharedResource
-from repro.harness.experiments import run_experiment
+from repro.harness.engine import Engine
+from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.runner import Mode, run, shared, unshared
 from repro.workloads.apps import APPS
 
-__all__ = ["GOLDEN_EXPERIMENTS", "collect", "check_goldens", "golden_path",
+__all__ = ["GOLDEN_EXPERIMENTS", "TINY_KEY", "collect", "collect_tiny",
+           "check_goldens", "golden_path",
            "CORE_APPS", "core_matrix", "core_config", "collect_core",
            "check_core_goldens", "golden_core_path"]
 
 #: Deterministic, simulation-free experiments safe to pin exactly.
 GOLDEN_EXPERIMENTS = ("fig1", "fig8a", "fig8b", "table6", "table8",
                       "hw_overhead")
+
+#: Key of the every-experiment section of ``golden_data.json``.
+TINY_KEY = "all_tiny"
 
 # ---------------------------------------------------------------------------
 # simulator-core fingerprints
@@ -139,6 +148,24 @@ def collect() -> dict:
     return out
 
 
+def collect_tiny() -> dict:
+    """Every experiment's rows on one cluster, scale 0.15, one wave,
+    simulated afresh (no result cache)."""
+    cfg = GPUConfig().scaled(num_clusters=1)
+    engine = Engine(jobs=1, cache=False)
+    return {exp_id: run_experiment(exp_id, config=cfg, scale=0.15,
+                                   waves=1.0, engine=engine).rows
+            for exp_id in sorted(EXPERIMENTS)}
+
+
+def _diff_rows(label: str, got: list[dict], want: list[dict]) -> list[str]:
+    problems = [f"{label} row {i}: {w!r} -> {g!r}"
+                for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    if len(got) != len(want):
+        problems.append(f"{label}: row count {len(want)} -> {len(got)}")
+    return problems
+
+
 def check_goldens() -> list[str]:
     """Compare current outputs against the committed goldens.
 
@@ -154,21 +181,27 @@ def check_goldens() -> list[str]:
     for exp_id in GOLDEN_EXPERIMENTS:
         if exp_id not in want:
             problems.append(f"{exp_id}: missing from golden file")
-            continue
-        if got[exp_id] != want[exp_id]:
-            for i, (g, w) in enumerate(zip(got[exp_id], want[exp_id])):
-                if g != w:
-                    problems.append(f"{exp_id} row {i}: {w!r} -> {g!r}")
-            if len(got[exp_id]) != len(want[exp_id]):
-                problems.append(f"{exp_id}: row count "
-                                f"{len(want[exp_id])} -> {len(got[exp_id])}")
+        else:
+            problems += _diff_rows(exp_id, got[exp_id], want[exp_id])
+    want_tiny = want.get(TINY_KEY, {})
+    # JSON has no tuples: compare in the file's own encoding.
+    got_tiny = json.loads(json.dumps(collect_tiny()))
+    for exp_id in sorted(set(want_tiny) | set(got_tiny)):
+        if exp_id not in want_tiny:
+            problems.append(f"{TINY_KEY} {exp_id}: missing from golden file")
+        elif exp_id not in got_tiny:
+            problems.append(f"{TINY_KEY} {exp_id}: no such experiment")
+        else:
+            problems += _diff_rows(f"{TINY_KEY} {exp_id}", got_tiny[exp_id],
+                                   want_tiny[exp_id])
     return problems
 
 
 def regenerate() -> Path:
     """Rewrite the golden file from the current implementation."""
     path = golden_path()
-    path.write_text(json.dumps(collect(), indent=1, sort_keys=True) + "\n")
+    data = {**collect(), TINY_KEY: collect_tiny()}
+    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     return path
 
 
