@@ -169,14 +169,11 @@ class MemoryHierarchy:
         l2 = self.l2[p]
         res = l2.lookup(line, None, allocate=False)
         if res == "bypass":
-            # Write-allocate at L2: install the line when DRAM acks.
+            # Write-allocate at L2: install the line when DRAM acks, and
+            # serve any load that missed on it meanwhile.
             self.dram[p].access(
                 line, now + self.lat.dram_fixed, is_store=True,
-                on_complete=partial(self._l2_install, l2, line))
-
-    @staticmethod
-    def _l2_install(l2: Cache, line: int, cycle: int) -> None:
-        l2.fill(line)
+                on_complete=partial(self._l2_fill, l2, line))
 
     # ------------------------------------------------------------------
     # stats

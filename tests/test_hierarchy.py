@@ -124,6 +124,20 @@ class TestStorePath:
         drain(ev)
         assert h.dram[0].stats.requests == n
 
+    def test_store_ack_serves_load_pending_on_its_line(self):
+        # The store misses L2 first and takes no MSHR; the load then
+        # misses and takes one.  The store's DRAM ack installs the line
+        # and clears that MSHR, so it must deliver the load's waiters.
+        cfg = GPUConfig().scaled(num_clusters=1)
+        ev = EventQueue()
+        h = MemoryHierarchy(cfg, ev, cfg.num_sms)
+        done = []
+        h.store(0, (0,), 0)
+        assert h.try_load(0, (0,), 5, done.append)
+        drain(ev)
+        assert len(done) == 1
+        assert not h.in_flight
+
 
 class TestAccounting:
     def test_totals_keys(self):
