@@ -8,8 +8,7 @@ docs/performance.md):
   in O(1), and when no SM can issue the clock jumps to the next event
   in one step while charging the skipped span to the same cycle
   taxonomy;
-* the **reference core** (``core="reference"`` or the
-  ``REPRO_REFERENCE_CORE=1`` environment variable) — the original
+* the **reference core** (``core="reference"``) — the original
   scan-every-warp loop, kept as the differential-testing oracle.
 
 Both must produce bit-identical :class:`RunResult`\\ s; the golden core
@@ -18,7 +17,6 @@ suite (``tests/test_core_equivalence.py``) enforces it.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.config import GPUConfig
@@ -55,9 +53,7 @@ class GPU:
     unshared); ``scheduler`` is one of ``lrr``/``gto``/``two_level``/
     ``owf``; ``dyn`` enables the Sec. IV-C dynamic warp execution
     controller (only meaningful with register sharing); ``core`` picks
-    the simulator core (``"fast"`` or ``"reference"``; the
-    ``REPRO_REFERENCE_CORE`` environment variable, when set to anything
-    but ``0``/empty, forces the reference core).
+    the simulator core (``"fast"`` or ``"reference"``).
     """
 
     def __init__(self, kernel: Kernel, config: GPUConfig, *,
@@ -72,8 +68,6 @@ class GPU:
         if core not in ("fast", "reference"):
             raise ValueError(f"unknown core {core!r}; "
                              f"choose 'fast' or 'reference'")
-        if os.environ.get("REPRO_REFERENCE_CORE", "") not in ("", "0"):
-            core = "reference"
         self.core = core
         self.kernel = kernel
         self.cfg = config

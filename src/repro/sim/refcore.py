@@ -6,9 +6,8 @@ full re-coalescing and admission scans on every MSHR retry, and
 O(warps) ``classify``/``has_ready`` scans of the resident warps.  It
 inherits the fast core's ``_set_state``, which keeps ``n_ready`` and
 the category counters, but never reads them.  It exists purely as the
-differential-testing oracle for the fast core
-(``REPRO_REFERENCE_CORE=1`` or ``GPU(core="reference")``): both cores
-must produce bit-identical :class:`RunResult`\\ s on every
+differential-testing oracle for the fast core (``GPU(core="reference")``):
+both cores must produce bit-identical :class:`RunResult`\\ s on every
 configuration, which ``tests/test_core_equivalence.py`` asserts against
 committed golden fingerprints.
 
