@@ -1,7 +1,20 @@
-"""One function per paper table/figure (see DESIGN.md §5 for the index).
+"""The paper's evaluation as a table of experiment registrations.
 
-Every experiment returns an :class:`ExperimentResult` whose rows carry
-both our measurement and, where available, the paper's reported value —
+Every table and figure (DESIGN.md §5 has the index) is one
+:func:`_register` call: its id, title and a builder made by one *row
+kind* from the figure's apps and modes.  The kinds are
+
+* :func:`_vs_base` — baseline vs one sharing mode (Figs. 8(c)/(d), 10);
+* :func:`_per_mode` — one column per mode (Figs. 9(a)/(b), 12, Tables
+  V/VII);
+* :func:`_static` — simulation-free per-app rows (Fig. 1, Figs.
+  8(a)/(b), Tables VI/VIII);
+* bespoke builders: the Fig. 9(c)/(d) cycle taxonomy, the Fig. 11
+  doubling and the Sec. V overhead.  The ``ext_*`` experiments of
+  :mod:`repro.harness.extensions` register the same way.
+
+:func:`run_experiment` runs one by id.  Its rows carry both our
+measurement and, where available, the paper's reported value —
 EXPERIMENTS.md is generated from these.
 
 Defaults are laptop-scale: 4 SM clusters instead of 14 and ``waves=3``
@@ -9,16 +22,20 @@ grid waves.  Per-SM resources are untouched, so every occupancy/sharing
 decision matches the full Table I machine; pass
 ``config=GPUConfig()`` for the full-size run.
 
-Simulation-backed experiments build :class:`RunSpec` batches and submit
-them to an :class:`Engine` (``engine=`` kwarg, default the process-wide
-engine), so runs dedupe, parallelise (``--jobs``/``REPRO_JOBS``) and hit
-the content-addressed result cache across figures — the ``Unshared-LRR``
-baseline is simulated once no matter how many artifacts reference it.
+Simulation-backed kinds build one :class:`RunSpec` batch per experiment
+and submit it to an :class:`Engine` (``engine=`` kwarg, default the
+process-wide engine), so runs dedupe, parallelise (``--jobs``/
+``REPRO_JOBS``) and hit the content-addressed result cache across
+figures — the ``Unshared-LRR`` baseline is simulated once no matter how
+many artifacts reference it.  A run the engine isolated as a
+:class:`~repro.harness.resilience.RunFailure` renders as a
+``FAIL:<category>`` cell instead of crashing the figure; the full
+records are on ``engine.failures``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from repro.config import GPUConfig
@@ -27,14 +44,19 @@ from repro.core.overhead import overhead_summary
 from repro.core.sharing import SharedResource, SharingSpec, plan_sharing
 from repro.harness.engine import Engine, RunSpec, default_engine
 from repro.harness.runner import Mode, improvement, shared, unshared
-from repro.sim.stats import RunResult
-from repro.workloads.apps import APPS
+from repro.isa.kernel import Kernel
+from repro.workloads.apps import APPS, App
 from repro.workloads.suites import SET1, SET2, SET3
 
 __all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment"]
 
 REG = SharedResource.REGISTERS
 SPAD = SharedResource.SCRATCHPAD
+LRR = unshared("lrr")
+#: The full register-sharing stack and the scratchpad-sharing mode of
+#: the headline figures.
+REG_FULL = shared(REG, "owf", unroll=True, dyn=True)
+SPAD_OWF = shared(SPAD, "owf")
 
 #: The t-sweep of Tables V-VIII: sharing% = (1-t)*100.
 SHARING_PCTS = (0, 10, 30, 50, 70, 90)
@@ -51,46 +73,71 @@ class ExperimentResult:
     notes: str = ""
 
 
-EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {}
+@dataclass(frozen=True)
+class _Setting:
+    """What one experiment runs on: machine, kernel scale, grid waves
+    and engine (``None``: the process-wide engine, made on first use)."""
+
+    cfg: GPUConfig
+    scale: float
+    waves: float
+    engine: Engine | None
+
+    def spec(self, app: App, mode: Mode) -> RunSpec:
+        return RunSpec.create(app, mode, config=self.cfg, scale=self.scale,
+                              waves=self.waves)
+
+    def run(self, specs: list[RunSpec]) -> list:
+        engine = self.engine if self.engine is not None else default_engine()
+        return engine.run_batch(specs)
+
+    def grid(self, apps: Sequence[App], modes: Sequence[Mode]) -> list[list]:
+        """Every (app, mode) pair as ONE engine batch: ``grid[i][j]`` is
+        app i under mode j.  Positional, because the modes of a t-sweep
+        share one label."""
+        res = self.run([self.spec(a, m) for a in apps for m in modes])
+        n = len(modes)
+        return [res[i:i + n] for i in range(0, len(res), n)]
 
 
-def _experiment(fn: Callable[..., ExperimentResult]):
-    EXPERIMENTS[fn.__name__] = fn
-    return fn
+Rows = list[dict]
 
 
-def run_experiment(exp_id: str, **kwargs) -> ExperimentResult:
+@dataclass(frozen=True)
+class Experiment:
+    """One registered artifact; ``build`` makes its rows, whose keys (in
+    order) are the columns.  ``config`` and ``waves`` are the defaults
+    when the caller gives none."""
+
+    title: str
+    build: Callable[[_Setting], Rows]
+    notes: str = ""
+    config: GPUConfig = GPUConfig().scaled(num_clusters=4)
+    waves: float = 3.0
+
+
+EXPERIMENTS: dict[str, Experiment] = {}
+
+
+def _register(exp_id: str, title: str, build: Callable[[_Setting], Rows],
+              notes: str = "", **defaults) -> None:
+    EXPERIMENTS[exp_id] = Experiment(title, build, notes, **defaults)
+
+
+def run_experiment(exp_id: str, *, config: GPUConfig | None = None,
+                   scale: float = 1.0, waves: float | None = None,
+                   engine: Engine | None = None) -> ExperimentResult:
     """Run a registered experiment by id (e.g. ``"fig8c"``)."""
     try:
-        fn = EXPERIMENTS[exp_id]
+        exp = EXPERIMENTS[exp_id]
     except KeyError:
         raise ValueError(f"unknown experiment {exp_id!r}; "
                          f"available: {sorted(EXPERIMENTS)}") from None
-    return fn(**kwargs)
-
-
-def _cfg(config: GPUConfig | None) -> GPUConfig:
-    return config if config is not None else GPUConfig().scaled(num_clusters=4)
-
-
-def _engine(engine: Engine | None) -> Engine:
-    return engine if engine is not None else default_engine()
-
-
-def _grid_runs(names: Sequence[str], modes: Sequence[Mode],
-               cfg: GPUConfig, scale: float, waves: float,
-               engine: Engine) -> dict[tuple[str, str], RunResult]:
-    """Run the full (app × mode) grid as ONE engine batch.
-
-    Returns results keyed by ``(app_name, mode_label)`` — the shape every
-    figure/table builder consumes.
-    """
-    specs = [RunSpec.create(APPS[name], mode, config=cfg, scale=scale,
-                            waves=waves)
-             for name in names for mode in modes]
-    results = engine.run_batch(specs)
-    keys = [(name, mode.label) for name in names for mode in modes]
-    return dict(zip(keys, results))
+    rows = exp.build(_Setting(config if config is not None else exp.config,
+                              scale, exp.waves if waves is None else waves,
+                              engine))
+    return ExperimentResult(exp_id, exp.title,
+                            list(rows[0]) if rows else [], rows, exp.notes)
 
 
 def _pct_t(pct: int) -> float:
@@ -99,218 +146,121 @@ def _pct_t(pct: int) -> float:
 
 
 # -- failure-tolerant cell helpers -------------------------------------
+
+def _fail(*rs) -> str | None:
+    """The ``FAIL:<category>`` cell of the first failed run, else None;
+    a cell is ``_fail(<its runs>) or <its value>``."""
+    for r in rs:
+        if not getattr(r, "ok", True):
+            return f"FAIL:{r.category}"
+    return None
+
+
+def _ipc(r):
+    return _fail(r) or round(r.ipc, 2)
+
+
+def _impr(base, new):
+    return _fail(base, new) or round(improvement(base, new), 2)
+
+
+# -- row kinds -----------------------------------------------------------
 #
-# run_batch isolates failing runs into RunFailure slots (unless the
-# engine was built with fail_fast=True).  Experiments render those
-# slots as annotated ``FAIL:<category>`` cells instead of crashing the
-# whole figure; callers can inspect ``engine.failures`` for the full
-# diagnostic records.
+# A kind takes app names and resolves them in ``APPS`` when it runs, so
+# a registry entry replaced after import is the one simulated.
 
-def _ok(r) -> bool:
-    return getattr(r, "ok", True)
+def _apps(names: Sequence[str]) -> list[App]:
+    return [APPS[n] for n in names]
 
 
-def _fail_cell(*rs) -> str:
-    """Annotation for a row whose inputs include failed runs."""
-    bad = next(r for r in rs if not _ok(r))
-    return f"FAIL:{bad.category}"
+def _vs_base(names: Sequence[str], base: Mode, new: Mode,
+             paper: str | None = None) -> Callable[[_Setting], Rows]:
+    """Per app: IPC under ``base`` and ``new`` and the % improvement,
+    plus ``App.paper[paper]`` as ``paper_pct`` when given."""
+    def build(s: _Setting) -> Rows:
+        apps = _apps(names)
+        rows = []
+        for app, (b, n) in zip(apps, s.grid(apps, [base, new])):
+            row = {"app": app.name, "ipc_base": _ipc(b),
+                   "ipc_shared": _ipc(n), "improvement_pct": _impr(b, n)}
+            if paper:
+                row["paper_pct"] = app.paper.get(paper)
+            rows.append(row)
+        return rows
+    return build
 
 
-def _ipc_cell(r):
-    return round(r.ipc, 2) if _ok(r) else _fail_cell(r)
+def _per_mode(names: Sequence[str], columns: dict[str, Mode],
+              base: Mode | None = None) -> Callable[[_Setting], Rows]:
+    """Per app, one column per mode: its IPC or, given ``base``, its %
+    IPC improvement over ``base``."""
+    modes = ([base] if base else []) + list(columns.values())
+
+    def build(s: _Setting) -> Rows:
+        apps = _apps(names)
+        rows = []
+        for app, runs in zip(apps, s.grid(apps, modes)):
+            ref = runs.pop(0) if base else None
+            rows.append({"app": app.name, **{
+                col: _impr(ref, r) if base else _ipc(r)
+                for col, r in zip(columns, runs)}})
+        return rows
+    return build
 
 
-def _impr_cell(base, new):
-    if _ok(base) and _ok(new):
-        return round(improvement(base, new), 2)
-    return _fail_cell(base, new)
+def _labelled(*modes: Mode) -> dict[str, Mode]:
+    return {m.label: m for m in modes}
 
 
-# ----------------------------------------------------------------------
-# Fig. 1 — motivation: occupancy and waste (no simulation needed)
-# ----------------------------------------------------------------------
+def _t_sweep(resource: SharedResource, **flags) -> dict[str, Mode]:
+    """The Tables V-VIII columns: one mode per sharing percentage."""
+    return {f"{p}%": shared(resource, "owf", t=_pct_t(p), **flags)
+            for p in SHARING_PCTS}
 
-@_experiment
-def fig1(config: GPUConfig | None = None, scale: float = 1.0,
-         waves: float = 3.0,
-         engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 1(a-d): resident blocks and resource underutilisation."""
-    cfg = _cfg(config)
-    res = ExperimentResult(
-        "fig1", "Fig 1: resident thread blocks and resource waste",
-        ["app", "set", "blocks", "limiter", "reg_waste_pct",
-         "smem_waste_pct"])
-    for name in SET1 + SET2:
-        app = APPS[name]
-        occ = occupancy(app.kernel(scale), cfg)
-        res.rows.append({
-            "app": name,
-            "set": app.set_id,
-            "blocks": occ.blocks,
+
+def _static(names: Sequence[str],
+            row: Callable[[App, Kernel, GPUConfig], dict]
+            ) -> Callable[[_Setting], Rows]:
+    """Simulation-free per-app rows: ``row(app, kernel, cfg)`` gives
+    the cells after ``app``."""
+    return lambda s: [{"app": a.name, **row(a, a.kernel(s.scale), s.cfg)}
+                      for a in _apps(names)]
+
+
+def _occupancy_row(app: App, kernel: Kernel, cfg: GPUConfig) -> dict:
+    occ = occupancy(kernel, cfg)
+    return {"set": app.set_id, "blocks": occ.blocks,
             "limiter": occ.limiter,
             "reg_waste_pct": round(occ.register_waste_pct, 2),
-            "smem_waste_pct": round(occ.scratchpad_waste_pct, 2),
-        })
-    res.notes = ("Set-1 rows reproduce Fig 1(a)/(b) (blocks, register "
-                 "waste); Set-2 rows reproduce Fig 1(c)/(d).")
-    return res
+            "smem_waste_pct": round(occ.scratchpad_waste_pct, 2)}
 
 
-# ----------------------------------------------------------------------
-# Fig. 8 — headline results
-# ----------------------------------------------------------------------
-
-def _blocks_rows(names: tuple[str, ...], resource: SharedResource,
-                 cfg: GPUConfig, scale: float) -> list[dict]:
-    rows = []
-    for name in names:
-        app = APPS[name]
-        kernel = app.kernel(scale)
+def _blocks_row(resource: SharedResource):
+    """Fig. 8(a)/(b): resident blocks without and with sharing (t=0.1)."""
+    def row(app: App, kernel: Kernel, cfg: GPUConfig) -> dict:
         plan = plan_sharing(kernel, cfg, SharingSpec(resource, 0.1))
-        rows.append({
-            "app": name,
-            "blocks_unshared": plan.baseline,
-            "blocks_shared": plan.total,
-            "paper_unshared": app.paper.get("blocks_base"),
-            "paper_shared": app.paper.get("blocks_shared"),
-        })
-    return rows
+        return {"blocks_unshared": plan.baseline,
+                "blocks_shared": plan.total,
+                "paper_unshared": app.paper.get("blocks_base"),
+                "paper_shared": app.paper.get("blocks_shared")}
+    return row
 
 
-@_experiment
-def fig8a(config: GPUConfig | None = None, scale: float = 1.0,
-          waves: float = 3.0,
-          engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 8(a): resident blocks, register sharing vs baseline."""
-    cfg = _cfg(config)
-    res = ExperimentResult(
-        "fig8a", "Fig 8(a): resident thread blocks (register sharing)",
-        ["app", "blocks_unshared", "blocks_shared", "paper_unshared",
-         "paper_shared"],
-        _blocks_rows(SET1, REG, cfg, scale))
-    return res
+def _blocks_sweep_row(resource: SharedResource):
+    """Tables VI/VIII: resident blocks at each sharing percentage."""
+    return lambda app, kernel, cfg: {
+        f"{p}%": plan_sharing(kernel, cfg,
+                              SharingSpec(resource, _pct_t(p))).total
+        for p in SHARING_PCTS}
 
 
-@_experiment
-def fig8b(config: GPUConfig | None = None, scale: float = 1.0,
-          waves: float = 3.0,
-          engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 8(b): resident blocks, scratchpad sharing vs baseline."""
-    cfg = _cfg(config)
-    res = ExperimentResult(
-        "fig8b", "Fig 8(b): resident thread blocks (scratchpad sharing)",
-        ["app", "blocks_unshared", "blocks_shared", "paper_unshared",
-         "paper_shared"],
-        _blocks_rows(SET2, SPAD, cfg, scale))
-    return res
+#: Fig. 9(c)/(d) columns after ``app``.
+_CYCLE_COLUMNS = ("idle_decrease_pct", "stall_decrease_pct",
+                  "base_latency_waits", "shared_latency_waits",
+                  "base_structural", "shared_structural")
 
 
-def _improvement_rows(names: tuple[str, ...], base_mode: Mode,
-                      new_mode: Mode, cfg: GPUConfig, scale: float,
-                      waves: float, engine: Engine,
-                      paper_key: str = "fig8_impr") -> list[dict]:
-    runs = _grid_runs(names, [base_mode, new_mode], cfg, scale, waves,
-                      engine)
-    rows = []
-    for name in names:
-        base = runs[name, base_mode.label]
-        new = runs[name, new_mode.label]
-        rows.append({
-            "app": name,
-            "ipc_base": _ipc_cell(base),
-            "ipc_shared": _ipc_cell(new),
-            "improvement_pct": _impr_cell(base, new),
-            "paper_pct": APPS[name].paper.get(paper_key),
-        })
-    return rows
-
-
-@_experiment
-def fig8c(config: GPUConfig | None = None, scale: float = 1.0,
-          waves: float = 3.0,
-          engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 8(c): IPC improvement of register sharing (full stack)."""
-    cfg = _cfg(config)
-    res = ExperimentResult(
-        "fig8c", "Fig 8(c): % IPC improvement, register sharing "
-        "(Shared-OWF-Unroll-Dyn vs Unshared-LRR)",
-        ["app", "ipc_base", "ipc_shared", "improvement_pct", "paper_pct"],
-        _improvement_rows(SET1, unshared("lrr"),
-                          shared(REG, "owf", unroll=True, dyn=True),
-                          cfg, scale, waves, _engine(engine)))
-    return res
-
-
-@_experiment
-def fig8d(config: GPUConfig | None = None, scale: float = 1.0,
-          waves: float = 3.0,
-          engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 8(d): IPC improvement of scratchpad sharing (Shared-OWF)."""
-    cfg = _cfg(config)
-    res = ExperimentResult(
-        "fig8d", "Fig 8(d): % IPC improvement, scratchpad sharing "
-        "(Shared-OWF vs Unshared-LRR)",
-        ["app", "ipc_base", "ipc_shared", "improvement_pct", "paper_pct"],
-        _improvement_rows(SET2, unshared("lrr"), shared(SPAD, "owf"),
-                          cfg, scale, waves, _engine(engine)))
-    return res
-
-
-# ----------------------------------------------------------------------
-# Fig. 9 — optimisation ablations and cycle taxonomy
-# ----------------------------------------------------------------------
-
-def _ablation_rows(names: tuple[str, ...], variants: list[Mode],
-                   cfg: GPUConfig, scale: float, waves: float,
-                   engine: Engine) -> list[dict]:
-    base_mode = unshared("lrr")
-    runs = _grid_runs(names, [base_mode] + variants, cfg, scale, waves,
-                      engine)
-    rows = []
-    for name in names:
-        base = runs[name, base_mode.label]
-        row: dict = {"app": name}
-        for m in variants:
-            row[m.label] = _impr_cell(base, runs[name, m.label])
-        rows.append(row)
-    return rows
-
-
-@_experiment
-def fig9a(config: GPUConfig | None = None, scale: float = 1.0,
-          waves: float = 3.0,
-          engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 9(a): register-sharing optimisation ablation."""
-    cfg = _cfg(config)
-    variants = [
-        shared(REG, "lrr"),                                 # NoOpt
-        shared(REG, "lrr", unroll=True),                    # Unroll
-        shared(REG, "lrr", unroll=True, dyn=True),          # Unroll-Dyn
-        shared(REG, "owf", unroll=True, dyn=True),          # OWF-Unroll-Dyn
-    ]
-    return ExperimentResult(
-        "fig9a", "Fig 9(a): register sharing ablation (% IPC vs "
-        "Unshared-LRR)",
-        ["app"] + [m.label for m in variants],
-        _ablation_rows(SET1, variants, cfg, scale, waves, _engine(engine)))
-
-
-@_experiment
-def fig9b(config: GPUConfig | None = None, scale: float = 1.0,
-          waves: float = 3.0,
-          engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 9(b): scratchpad sharing with/without OWF."""
-    cfg = _cfg(config)
-    variants = [shared(SPAD, "lrr"), shared(SPAD, "owf")]
-    return ExperimentResult(
-        "fig9b", "Fig 9(b): scratchpad sharing ablation (% IPC vs "
-        "Unshared-LRR)",
-        ["app"] + [m.label for m in variants],
-        _ablation_rows(SET2, variants, cfg, scale, waves, _engine(engine)))
-
-
-def _cycles_rows(names: tuple[str, ...], new_mode: Mode, cfg: GPUConfig,
-                 scale: float, waves: float, engine: Engine) -> list[dict]:
+def _cycles(names: Sequence[str], new: Mode) -> Callable[[_Setting], Rows]:
     """Fig. 9(c)/(d) cycle taxonomy, mapped onto the paper's buckets.
 
     The paper's *idle* cycle is "all the available warps are issued, but
@@ -320,388 +270,123 @@ def _cycles_rows(names: tuple[str, ...], new_mode: Mode, cfg: GPUConfig,
     hazards (MSHR exhaustion).  The columns below use the paper's names
     with that mapping; raw bucket counts are included for transparency.
     """
-    base_mode = unshared("lrr")
-    runs = _grid_runs(names, [base_mode, new_mode], cfg, scale, waves,
-                      engine)
-    rows = []
-    for name in names:
-        base = runs[name, base_mode.label]
-        new = runs[name, new_mode.label]
-        if not (_ok(base) and _ok(new)):
-            rows.append({"app": name,
-                         "idle_decrease_pct": _fail_cell(base, new),
-                         "stall_decrease_pct": _fail_cell(base, new)})
-            continue
+    def dec(b: int, n: int) -> float:
+        return round(100.0 * (b - n) / b, 2) if b else 0.0
 
-        def dec(b: int, n: int) -> float:
-            return 100.0 * (b - n) / b if b else 0.0
+    def cells(b, n) -> tuple:
+        fail = _fail(b, n)
+        if fail:
+            return (fail,) * len(_CYCLE_COLUMNS)
+        bs, ns = (sum(x.mshr_stalls for x in r.sm_stats) for r in (b, n))
+        return (dec(b.stall_cycles, n.stall_cycles), dec(bs, ns),
+                b.stall_cycles, n.stall_cycles, bs, ns)
 
-        base_struct = sum(s.mshr_stalls for s in base.sm_stats)
-        new_struct = sum(s.mshr_stalls for s in new.sm_stats)
-        rows.append({
-            "app": name,
-            "idle_decrease_pct": round(dec(base.stall_cycles,
-                                           new.stall_cycles), 2),
-            "stall_decrease_pct": round(dec(base_struct, new_struct), 2),
-            "base_latency_waits": base.stall_cycles,
-            "shared_latency_waits": new.stall_cycles,
-            "base_structural": base_struct,
-            "shared_structural": new_struct,
-        })
-    return rows
+    def build(s: _Setting) -> Rows:
+        apps = _apps(names)
+        return [{"app": app.name, **dict(zip(_CYCLE_COLUMNS, cells(b, n)))}
+                for app, (b, n) in zip(apps, s.grid(apps, [LRR, new]))]
+    return build
 
 
-@_experiment
-def fig9c(config: GPUConfig | None = None, scale: float = 1.0,
-          waves: float = 3.0,
-          engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 9(c): % decrease in stall/idle cycles, register sharing."""
-    cfg = _cfg(config)
-    res = ExperimentResult(
-        "fig9c", "Fig 9(c): % decrease in stall and idle cycles "
-        "(register sharing)",
-        ["app", "idle_decrease_pct", "stall_decrease_pct",
-         "base_latency_waits", "shared_latency_waits", "base_structural",
-         "shared_structural"],
-        _cycles_rows(SET1, shared(REG, "owf", unroll=True, dyn=True),
-                     cfg, scale, waves, _engine(engine)))
-    res.notes = ("Column mapping: the paper's 'idle' = warps waiting on "
-                 "in-flight latencies (our stall bucket); the paper's "
-                 "'stall' = pipeline/structural stalls (our MSHR "
-                 "rejections).")
-    return res
+def _doubling(names: Sequence[str], resource_field: str, ipc_col: str,
+              new: Mode) -> Callable[[_Setting], Rows]:
+    """Fig. 11: LRR on a machine with twice ``resource_field`` vs
+    ``new`` on the real machine, both on the real machine's grid."""
+    def build(s: _Setting) -> Rows:
+        apps = _apps(names)
+        big = replace(s.cfg, **{resource_field:
+                                2 * getattr(s.cfg, resource_field)})
+        specs = []
+        for app in apps:
+            grid = max(1, round(s.waves * s.cfg.num_sms * occupancy(
+                app.kernel(s.scale), s.cfg).blocks))
+            specs += [RunSpec.create(app, LRR, config=big, scale=s.scale,
+                                     grid_blocks=grid),
+                      RunSpec.create(app, new, config=s.cfg, scale=s.scale,
+                                     grid_blocks=grid)]
+        res = s.run(specs)
+        return [{"app": app.name, ipc_col: _ipc(b), "ipc_shared": _ipc(n),
+                 "shared_wins": _fail(b, n) or n.ipc >= b.ipc}
+                for app, b, n in zip(apps, res[::2], res[1::2])]
+    return build
 
 
-@_experiment
-def fig9d(config: GPUConfig | None = None, scale: float = 1.0,
-          waves: float = 3.0,
-          engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 9(d): % decrease in stall/idle cycles, scratchpad sharing."""
-    cfg = _cfg(config)
-    res = ExperimentResult(
-        "fig9d", "Fig 9(d): % decrease in stall and idle cycles "
-        "(scratchpad sharing)",
-        ["app", "idle_decrease_pct", "stall_decrease_pct",
-         "base_latency_waits", "shared_latency_waits", "base_structural",
-         "shared_structural"],
-        _cycles_rows(SET2, shared(SPAD, "owf"), cfg, scale, waves,
-                     _engine(engine)))
-    res.notes = ("Column mapping as in fig9c.")
-    return res
+def _overhead(s: _Setting) -> Rows:
+    return [{"quantity": k, "value": v}
+            for k, v in overhead_summary(s.cfg).items()]
 
 
-# ----------------------------------------------------------------------
-# Fig. 10 — against stronger baselines (GTO, two-level)
-# ----------------------------------------------------------------------
+# -- the paper's tables and figures -------------------------------------
 
-def _vs_baseline(names: tuple[str, ...], base_sched: str, new_mode: Mode,
-                 cfg: GPUConfig, scale: float, waves: float,
-                 engine: Engine) -> list[dict]:
-    base_mode = unshared(base_sched)
-    runs = _grid_runs(names, [base_mode, new_mode], cfg, scale, waves,
-                      engine)
-    rows = []
-    for name in names:
-        base = runs[name, base_mode.label]
-        new = runs[name, new_mode.label]
-        rows.append({
-            "app": name,
-            "ipc_base": _ipc_cell(base),
-            "ipc_shared": _ipc_cell(new),
-            "improvement_pct": _impr_cell(base, new),
-        })
-    return rows
-
-
-@_experiment
-def fig10a(config: GPUConfig | None = None, scale: float = 1.0,
-           waves: float = 3.0,
-           engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 10(a): scratchpad sharing vs the GTO baseline."""
-    cfg = _cfg(config)
-    return ExperimentResult(
-        "fig10a", "Fig 10(a): scratchpad sharing vs Unshared-GTO",
-        ["app", "ipc_base", "ipc_shared", "improvement_pct"],
-        _vs_baseline(SET2, "gto", shared(SPAD, "owf"), cfg, scale, waves,
-                     _engine(engine)))
-
-
-@_experiment
-def fig10b(config: GPUConfig | None = None, scale: float = 1.0,
-           waves: float = 3.0,
-           engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 10(b): register sharing vs the GTO baseline."""
-    cfg = _cfg(config)
-    return ExperimentResult(
-        "fig10b", "Fig 10(b): register sharing vs Unshared-GTO",
-        ["app", "ipc_base", "ipc_shared", "improvement_pct"],
-        _vs_baseline(SET1, "gto", shared(REG, "owf", unroll=True, dyn=True),
-                     cfg, scale, waves, _engine(engine)))
-
-
-@_experiment
-def fig10c(config: GPUConfig | None = None, scale: float = 1.0,
-           waves: float = 3.0,
-           engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 10(c): register sharing vs the two-level baseline."""
-    cfg = _cfg(config)
-    return ExperimentResult(
-        "fig10c", "Fig 10(c): register sharing vs Unshared-2LV",
-        ["app", "ipc_base", "ipc_shared", "improvement_pct"],
-        _vs_baseline(SET1, "two_level",
-                     shared(REG, "owf", unroll=True, dyn=True),
-                     cfg, scale, waves, _engine(engine)))
-
-
-@_experiment
-def fig10d(config: GPUConfig | None = None, scale: float = 1.0,
-           waves: float = 3.0,
-           engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 10(d): scratchpad sharing vs the two-level baseline."""
-    cfg = _cfg(config)
-    return ExperimentResult(
-        "fig10d", "Fig 10(d): scratchpad sharing vs Unshared-2LV",
-        ["app", "ipc_base", "ipc_shared", "improvement_pct"],
-        _vs_baseline(SET2, "two_level", shared(SPAD, "owf"), cfg, scale,
-                     waves, _engine(engine)))
-
-
-# ----------------------------------------------------------------------
-# Fig. 11 — sharing vs doubling the physical resource
-# ----------------------------------------------------------------------
-
-def _doubling_rows(names: tuple[str, ...], big: GPUConfig,
-                   new_mode: Mode, ipc_col: str, cfg: GPUConfig,
-                   scale: float, waves: float, engine: Engine
-                   ) -> list[dict]:
-    """Fig. 11 grid: 2x-resource LRR baseline vs sharing, pinned grids."""
-    specs = []
-    for name in names:
-        kernel = APPS[name].kernel(scale)
-        grid = max(1, round(waves * cfg.num_sms
-                            * occupancy(kernel, cfg).blocks))
-        specs.append(RunSpec.create(APPS[name], unshared("lrr"),
-                                    config=big, scale=scale,
-                                    grid_blocks=grid))
-        specs.append(RunSpec.create(APPS[name], new_mode, config=cfg,
-                                    scale=scale, grid_blocks=grid))
-    results = engine.run_batch(specs)
-    rows = []
-    for i, name in enumerate(names):
-        base, new = results[2 * i], results[2 * i + 1]
-        rows.append({
-            "app": name,
-            ipc_col: _ipc_cell(base),
-            "ipc_shared": _ipc_cell(new),
-            "shared_wins": (new.ipc >= base.ipc
-                            if _ok(base) and _ok(new)
-                            else _fail_cell(base, new)),
-        })
-    return rows
-
-
-@_experiment
-def fig11a(config: GPUConfig | None = None, scale: float = 1.0,
-           waves: float = 3.0,
-           engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 11(a): Unshared-LRR @64K registers vs sharing @32K."""
-    from dataclasses import replace
-    cfg = _cfg(config)
-    big = replace(cfg, registers_per_sm=cfg.registers_per_sm * 2)
-    res = ExperimentResult(
-        "fig11a", "Fig 11(a): IPC, 2x registers (LRR) vs register sharing",
-        ["app", "ipc_2x_regs", "ipc_shared", "shared_wins"],
-        _doubling_rows(SET1, big, shared(REG, "owf", unroll=True, dyn=True),
-                       "ipc_2x_regs", cfg, scale, waves, _engine(engine)))
-    res.notes = ("Paper: sharing at 32K registers beats the 64K-register "
-                 "LRR baseline on 5 of 8 applications.")
-    return res
-
-
-@_experiment
-def fig11b(config: GPUConfig | None = None, scale: float = 1.0,
-           waves: float = 3.0,
-           engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 11(b): Unshared-LRR @32K scratchpad vs sharing @16K."""
-    from dataclasses import replace
-    cfg = _cfg(config)
-    big = replace(cfg, scratchpad_per_sm=cfg.scratchpad_per_sm * 2)
-    return ExperimentResult(
-        "fig11b", "Fig 11(b): IPC, 2x scratchpad (LRR) vs scratchpad "
-        "sharing",
-        ["app", "ipc_2x_smem", "ipc_shared", "shared_wins"],
-        _doubling_rows(SET2, big, shared(SPAD, "owf"), "ipc_2x_smem",
-                       cfg, scale, waves, _engine(engine)))
-
-
-# ----------------------------------------------------------------------
-# Fig. 12 — Set-3 (no extra blocks possible)
-# ----------------------------------------------------------------------
-
-def _set3_rows(modes: list[Mode], cfg: GPUConfig, scale: float,
-               waves: float, engine: Engine) -> list[dict]:
-    runs = _grid_runs(SET3, modes, cfg, scale, waves, engine)
-    rows = []
-    for name in SET3:
-        row: dict = {"app": name}
-        for m in modes:
-            row[m.label] = _ipc_cell(runs[name, m.label])
-        rows.append(row)
-    return rows
-
-
-@_experiment
-def fig12a(config: GPUConfig | None = None, scale: float = 1.0,
-           waves: float = 3.0,
-           engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 12(a): Set-3 IPC across scheduler combos, register sharing."""
-    cfg = _cfg(config)
-    modes = [
-        unshared("lrr"),
-        shared(REG, "lrr", unroll=True, dyn=True),
-        unshared("gto"),
-        shared(REG, "gto", unroll=True, dyn=True),
-        shared(REG, "owf", unroll=True, dyn=True),
-    ]
-    res = ExperimentResult(
-        "fig12a", "Fig 12(a): Set-3 IPC (register sharing variants)",
-        ["app"] + [m.label for m in modes],
-        _set3_rows(modes, cfg, scale, waves, _engine(engine)))
-    res.notes = ("Paper: Shared-LRR == Unshared-LRR and Shared-GTO == "
-                 "Unshared-GTO exactly (no extra blocks are launched); "
-                 "Shared-OWF tracks Unshared-GTO.")
-    return res
-
-
-@_experiment
-def fig12b(config: GPUConfig | None = None, scale: float = 1.0,
-           waves: float = 3.0,
-           engine: Engine | None = None) -> ExperimentResult:
-    """Fig. 12(b): Set-3 IPC across scheduler combos, scratchpad."""
-    cfg = _cfg(config)
-    modes = [
-        unshared("lrr"),
-        shared(SPAD, "lrr"),
-        unshared("gto"),
-        shared(SPAD, "gto"),
-        shared(SPAD, "owf"),
-    ]
-    return ExperimentResult(
-        "fig12b", "Fig 12(b): Set-3 IPC (scratchpad sharing variants)",
-        ["app"] + [m.label for m in modes],
-        _set3_rows(modes, cfg, scale, waves, _engine(engine)))
-
-
-# ----------------------------------------------------------------------
-# Tables V-VIII — sharing fraction sweeps
-# ----------------------------------------------------------------------
-
-def _sweep(names: tuple[str, ...], resource: SharedResource,
-           scheduler: str, unroll: bool, dyn: bool, cfg: GPUConfig,
-           scale: float, waves: float, engine: Engine
-           ) -> tuple[list[dict], list[dict]]:
-    modes = [shared(resource, scheduler, t=_pct_t(pct), unroll=unroll,
-                    dyn=dyn) for pct in SHARING_PCTS]
-    specs = [RunSpec.create(APPS[name], mode, config=cfg, scale=scale,
-                            waves=waves)
-             for name in names for mode in modes]
-    results = iter(engine.run_batch(specs))
-    ipc_rows, blk_rows = [], []
-    for name in names:
-        ipc_row: dict = {"app": name}
-        blk_row: dict = {"app": name}
-        for pct in SHARING_PCTS:
-            r = next(results)
-            ipc_row[f"{pct}%"] = _ipc_cell(r)
-            blk_row[f"{pct}%"] = (r.blocks_total if _ok(r)
-                                  else _fail_cell(r))
-        ipc_rows.append(ipc_row)
-        blk_rows.append(blk_row)
-    return ipc_rows, blk_rows
-
-
-@_experiment
-def table5(config: GPUConfig | None = None, scale: float = 1.0,
-           waves: float = 3.0,
-           engine: Engine | None = None) -> ExperimentResult:
-    """Table V: IPC vs register-sharing percentage."""
-    cfg = _cfg(config)
-    ipc_rows, _ = _sweep(SET1, REG, "owf", True, True, cfg, scale, waves,
-                         _engine(engine))
-    cols = ["app"] + [f"{p}%" for p in SHARING_PCTS]
-    return ExperimentResult(
-        "table5", "Table V: IPC vs % register sharing", cols, ipc_rows)
-
-
-@_experiment
-def table6(config: GPUConfig | None = None, scale: float = 1.0,
-           waves: float = 3.0,
-           engine: Engine | None = None) -> ExperimentResult:
-    """Table VI: resident blocks vs register-sharing percentage."""
-    cfg = _cfg(config)
-    res = ExperimentResult(
-        "table6", "Table VI: resident blocks vs % register sharing",
-        ["app"] + [f"{p}%" for p in SHARING_PCTS])
-    for name in SET1:
-        app = APPS[name]
-        kernel = app.kernel(scale)
-        row: dict = {"app": name}
-        for pct in SHARING_PCTS:
-            plan = plan_sharing(kernel, cfg, SharingSpec(REG, _pct_t(pct)))
-            row[f"{pct}%"] = plan.total
-        res.rows.append(row)
-    return res
-
-
-@_experiment
-def table7(config: GPUConfig | None = None, scale: float = 1.0,
-           waves: float = 3.0,
-           engine: Engine | None = None) -> ExperimentResult:
-    """Table VII: IPC vs scratchpad-sharing percentage."""
-    cfg = _cfg(config)
-    ipc_rows, _ = _sweep(SET2, SPAD, "owf", False, False, cfg, scale,
-                         waves, _engine(engine))
-    cols = ["app"] + [f"{p}%" for p in SHARING_PCTS]
-    return ExperimentResult(
-        "table7", "Table VII: IPC vs % scratchpad sharing", cols, ipc_rows)
-
-
-@_experiment
-def table8(config: GPUConfig | None = None, scale: float = 1.0,
-           waves: float = 3.0,
-           engine: Engine | None = None) -> ExperimentResult:
-    """Table VIII: resident blocks vs scratchpad-sharing percentage."""
-    cfg = _cfg(config)
-    res = ExperimentResult(
-        "table8", "Table VIII: resident blocks vs % scratchpad sharing",
-        ["app"] + [f"{p}%" for p in SHARING_PCTS])
-    for name in SET2:
-        app = APPS[name]
-        kernel = app.kernel(scale)
-        row: dict = {"app": name}
-        for pct in SHARING_PCTS:
-            plan = plan_sharing(kernel, cfg, SharingSpec(SPAD, _pct_t(pct)))
-            row[f"{pct}%"] = plan.total
-        res.rows.append(row)
-    return res
-
-
-# ----------------------------------------------------------------------
-# Sec. V — hardware overhead
-# ----------------------------------------------------------------------
-
-@_experiment
-def hw_overhead(config: GPUConfig | None = None, scale: float = 1.0,
-                waves: float = 3.0,
-                engine: Engine | None = None) -> ExperimentResult:
-    """Sec. V storage formulas evaluated on the Table I machine."""
-    cfg = config if config is not None else GPUConfig()
-    s = overhead_summary(cfg)
-    res = ExperimentResult(
-        "hw_overhead", "Sec. V: storage overhead (bits)",
-        ["quantity", "value"])
-    for k, v in s.items():
-        res.rows.append({"quantity": k, "value": v})
-    res.notes = ("Register sharing additionally needs one comparator per "
-                 "scheduler for the Fig. 3/4 steps (b) and (c).")
-    return res
+_register("fig1", "Fig 1: resident thread blocks and resource waste",
+          _static(SET1 + SET2, _occupancy_row),
+          "Set-1 rows reproduce Fig 1(a)/(b) (blocks, register waste); "
+          "Set-2 rows reproduce Fig 1(c)/(d).")
+_register("fig8a", "Fig 8(a): resident thread blocks (register sharing)",
+          _static(SET1, _blocks_row(REG)))
+_register("fig8b", "Fig 8(b): resident thread blocks (scratchpad sharing)",
+          _static(SET2, _blocks_row(SPAD)))
+_register("fig8c", "Fig 8(c): % IPC improvement, register sharing "
+          "(Shared-OWF-Unroll-Dyn vs Unshared-LRR)",
+          _vs_base(SET1, LRR, REG_FULL, paper="fig8_impr"))
+_register("fig8d", "Fig 8(d): % IPC improvement, scratchpad sharing "
+          "(Shared-OWF vs Unshared-LRR)",
+          _vs_base(SET2, LRR, SPAD_OWF, paper="fig8_impr"))
+_register("fig9a", "Fig 9(a): register sharing ablation (% IPC vs "
+          "Unshared-LRR)",
+          _per_mode(SET1, _labelled(
+              shared(REG, "lrr"),                          # NoOpt
+              shared(REG, "lrr", unroll=True),             # Unroll
+              shared(REG, "lrr", unroll=True, dyn=True),   # Unroll-Dyn
+              REG_FULL), base=LRR))
+_register("fig9b", "Fig 9(b): scratchpad sharing ablation (% IPC vs "
+          "Unshared-LRR)",
+          _per_mode(SET2, _labelled(shared(SPAD, "lrr"), SPAD_OWF),
+                    base=LRR))
+_register("fig9c", "Fig 9(c): % decrease in stall and idle cycles "
+          "(register sharing)", _cycles(SET1, REG_FULL),
+          "Column mapping: the paper's 'idle' = warps waiting on in-flight "
+          "latencies (our stall bucket); the paper's 'stall' = "
+          "pipeline/structural stalls (our MSHR rejections).")
+_register("fig9d", "Fig 9(d): % decrease in stall and idle cycles "
+          "(scratchpad sharing)", _cycles(SET2, SPAD_OWF),
+          "Column mapping as in fig9c.")
+_register("fig10a", "Fig 10(a): scratchpad sharing vs Unshared-GTO",
+          _vs_base(SET2, unshared("gto"), SPAD_OWF))
+_register("fig10b", "Fig 10(b): register sharing vs Unshared-GTO",
+          _vs_base(SET1, unshared("gto"), REG_FULL))
+_register("fig10c", "Fig 10(c): register sharing vs Unshared-2LV",
+          _vs_base(SET1, unshared("two_level"), REG_FULL))
+_register("fig10d", "Fig 10(d): scratchpad sharing vs Unshared-2LV",
+          _vs_base(SET2, unshared("two_level"), SPAD_OWF))
+_register("fig11a", "Fig 11(a): IPC, 2x registers (LRR) vs register sharing",
+          _doubling(SET1, "registers_per_sm", "ipc_2x_regs", REG_FULL),
+          "Paper: sharing at 32K registers beats the 64K-register LRR "
+          "baseline on 5 of 8 applications.")
+_register("fig11b", "Fig 11(b): IPC, 2x scratchpad (LRR) vs scratchpad "
+          "sharing",
+          _doubling(SET2, "scratchpad_per_sm", "ipc_2x_smem", SPAD_OWF))
+_register("fig12a", "Fig 12(a): Set-3 IPC (register sharing variants)",
+          _per_mode(SET3, _labelled(
+              LRR, shared(REG, "lrr", unroll=True, dyn=True),
+              unshared("gto"), shared(REG, "gto", unroll=True, dyn=True),
+              REG_FULL)),
+          "Paper: Shared-LRR == Unshared-LRR and Shared-GTO == "
+          "Unshared-GTO exactly (no extra blocks are launched); "
+          "Shared-OWF tracks Unshared-GTO.")
+_register("fig12b", "Fig 12(b): Set-3 IPC (scratchpad sharing variants)",
+          _per_mode(SET3, _labelled(
+              LRR, shared(SPAD, "lrr"), unshared("gto"),
+              shared(SPAD, "gto"), SPAD_OWF)))
+_register("table5", "Table V: IPC vs % register sharing",
+          _per_mode(SET1, _t_sweep(REG, unroll=True, dyn=True)))
+_register("table6", "Table VI: resident blocks vs % register sharing",
+          _static(SET1, _blocks_sweep_row(REG)))
+_register("table7", "Table VII: IPC vs % scratchpad sharing",
+          _per_mode(SET2, _t_sweep(SPAD)))
+_register("table8", "Table VIII: resident blocks vs % scratchpad sharing",
+          _static(SET2, _blocks_sweep_row(SPAD)))
+_register("hw_overhead", "Sec. V: storage overhead (bits)", _overhead,
+          "Register sharing additionally needs one comparator per "
+          "scheduler for the Fig. 3/4 steps (b) and (c).",
+          config=GPUConfig())

@@ -8,18 +8,24 @@
 * ``ext_threshold_frontier`` — an ablation the paper only samples: the
   full IPC-vs-t frontier at fine granularity for one app per resource,
   exposing the step structure Eq. 4 imposes on block counts.
+* ``ext_cache_sensitivity`` and ``ext_variance_sensitivity`` — the
+  sharing gain against L1 capacity and against per-warp work imbalance.
+
+They register like the paper's figures (``experiments._register``) and
+render a failed run as a ``FAIL:<category>`` cell.
 """
 
 from __future__ import annotations
 
-from repro.config import GPUConfig
+from dataclasses import replace
+
 from repro.core.sharing import SharedResource, SharingSpec, plan_sharing
-from repro.harness.engine import Engine, RunSpec
-from repro.harness.experiments import (ExperimentResult,
-                                       _cfg, _engine, _experiment)
-from repro.harness.runner import improvement, shared, unshared
+from repro.harness.engine import RunSpec
+from repro.harness.experiments import (LRR, Rows, _fail, _impr, _ipc,
+                                       _register, _Setting)
+from repro.harness.runner import shared
 from repro.isa.builder import KernelBuilder
-from repro.workloads.apps import APPS
+from repro.workloads.apps import APPS, App
 
 __all__ = ["tail_heavy_kernel"]
 
@@ -54,137 +60,81 @@ def tail_heavy_kernel(scale: float = 1.0):
     return b.build()
 
 
-from repro.workloads.apps import App as _App  # noqa: E402
-
 #: Registered as a plain App so the runner treats it like any workload.
-TAIL_APP = _App("tailheavy", "extension", 1, "registers", tail_heavy_kernel)
+TAIL_APP = App("tailheavy", "extension", 1, "registers", tail_heavy_kernel)
 
 
-@_experiment
-def ext_early_release(config: GPUConfig | None = None, scale: float = 1.0,
-                      waves: float = 6.0,
-                      engine: Engine | None = None) -> ExperimentResult:
-    """Extension: live-range early release (paper Sec. VIII future work)."""
-    cfg = _cfg(config)
-    res = ExperimentResult(
-        "ext_early_release",
-        "Extension (Sec. VIII): live-range early release of shared "
-        "registers",
-        ["app", "ipc_base", "ipc_shared", "ipc_shared_er",
-         "impr_shared_pct", "impr_er_pct", "early_releases"])
+def _early_release(s: _Setting) -> Rows:
     apps = [TAIL_APP, APPS["hotspot"], APPS["sgemm"]]
-    modes = [unshared("lrr"), shared(REG, "owf", unroll=True),
+    modes = [LRR, shared(REG, "owf", unroll=True),
              shared(REG, "owf", unroll=True, early_release=True)]
-    results = iter(_engine(engine).run_batch(
-        [RunSpec.create(app, m, config=cfg, scale=scale, waves=waves)
-         for app in apps for m in modes]))
-    for app in apps:
-        base, plain, er = next(results), next(results), next(results)
-        res.rows.append({
-            "app": app.name,
-            "ipc_base": round(base.ipc, 2),
-            "ipc_shared": round(plain.ipc, 2),
-            "ipc_shared_er": round(er.ipc, 2),
-            "impr_shared_pct": round(improvement(base, plain), 2),
-            "impr_er_pct": round(improvement(base, er), 2),
-            "early_releases": sum(s.early_releases for s in er.sm_stats),
-        })
-    res.notes = ("Early release only pays off when warps have a long "
-                 "shared-register-free tail (tailheavy); for loop-dominated "
-                 "kernels like hotspot the pool is live until the last "
-                 "iteration and ER matches plain sharing.")
-    return res
+    return [{"app": app.name, "ipc_base": _ipc(base),
+             "ipc_shared": _ipc(plain), "ipc_shared_er": _ipc(er),
+             "impr_shared_pct": _impr(base, plain),
+             "impr_er_pct": _impr(base, er),
+             "early_releases": _fail(er) or sum(x.early_releases
+                                                for x in er.sm_stats)}
+            for app, (base, plain, er) in zip(apps, s.grid(apps, modes))]
 
 
-@_experiment
-def ext_threshold_frontier(config: GPUConfig | None = None,
-                           scale: float = 1.0,
-                           waves: float = 6.0,
-                           engine: Engine | None = None) -> ExperimentResult:
-    """Ablation: fine-grained IPC/blocks vs threshold t frontier."""
-    cfg = _cfg(config)
-    res = ExperimentResult(
-        "ext_threshold_frontier",
-        "Ablation: fine-grained sharing-threshold frontier",
-        ["app", "resource", "t", "sharing_pct", "blocks", "ipc"])
-    cases = [("hotspot", REG), ("lavaMD", SPAD)]
+def _threshold_frontier(s: _Setting) -> Rows:
+    cases = [(APPS["hotspot"], REG), (APPS["lavaMD"], SPAD)]
     ts = (1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.2, 0.15, 0.1, 0.05)
-    results = iter(_engine(engine).run_batch(
-        [RunSpec.create(APPS[name], shared(resource, "owf", t=t,
-                                           unroll=resource is REG),
-                        config=cfg, scale=scale, waves=waves)
-         for name, resource in cases for t in ts]))
-    for name, resource in cases:
-        kernel = APPS[name].kernel(scale)
-        for t in ts:
-            plan = plan_sharing(kernel, cfg, SharingSpec(resource, t))
-            r = next(results)
-            res.rows.append({
-                "app": name,
-                "resource": resource.value,
-                "t": t,
-                "sharing_pct": round((1 - t) * 100, 1),
-                "blocks": plan.total,
-                "ipc": round(r.ipc, 2),
-            })
-    res.notes = ("Block counts move in Eq. 4 steps; IPC follows the block "
-                 "count, not t itself — the paper's Tables V-VIII sampled "
-                 "this frontier at six points.")
-    return res
+    runs = iter(s.run([s.spec(app, shared(resource, "owf", t=t,
+                                          unroll=resource is REG))
+                       for app, resource in cases for t in ts]))
+    return [{"app": app.name, "resource": resource.value, "t": t,
+             "sharing_pct": round((1 - t) * 100, 1),
+             "blocks": plan_sharing(app.kernel(s.scale), s.cfg,
+                                    SharingSpec(resource, t)).total,
+             "ipc": _ipc(next(runs))}
+            for app, resource in cases for t in ts]
 
 
-@_experiment
-def ext_cache_sensitivity(config: GPUConfig | None = None,
-                          scale: float = 1.0,
-                          waves: float = 6.0,
-                          engine: Engine | None = None) -> ExperimentResult:
-    """Ablation: L1 capacity vs the sharing win/loss of cache-bound apps.
+def _cache_sensitivity(s: _Setting) -> Rows:
+    """L1 capacity vs the sharing win/loss of cache-bound apps.
 
     The paper attributes mri-q's slowdown and LIB's flat result to L1/L2
     misses caused by the extra blocks.  Sweeping the L1 size moves that
     crossover: with a large enough L1 the extra blocks stop thrashing and
     sharing turns positive.
     """
-    from dataclasses import replace
-    cfg = _cfg(config)
-    res = ExperimentResult(
-        "ext_cache_sensitivity",
-        "Ablation: register-sharing gain vs L1 capacity (cache-bound apps)",
-        ["app", "l1_kb", "ipc_base", "ipc_shared", "improvement_pct",
-         "l1_miss_base", "l1_miss_shared"])
-    names = ("mri-q", "LIB")
-    l1_sizes = (8, 16, 32, 64)
-    modes = [unshared("lrr"), shared(REG, "owf", unroll=True)]
-    results = iter(_engine(engine).run_batch(
-        [RunSpec.create(APPS[name], m,
-                        config=replace(cfg, l1_size=l1_kb * KB),
-                        scale=scale, waves=waves)
-         for name in names for l1_kb in l1_sizes for m in modes]))
-    for name in names:
-        for l1_kb in l1_sizes:
-            base, best = next(results), next(results)
-            res.rows.append({
-                "app": name,
-                "l1_kb": l1_kb,
-                "ipc_base": round(base.ipc, 2),
-                "ipc_shared": round(best.ipc, 2),
-                "improvement_pct": round(improvement(base, best), 2),
-                "l1_miss_base": round(float(base.mem["l1_miss_rate"]), 3),
-                "l1_miss_shared": round(float(best.mem["l1_miss_rate"]), 3),
-            })
-    res.notes = ("16 KB is the paper's Table I configuration; the "
-                 "crossover confirms the cache-contention explanation for "
-                 "mri-q/LIB.")
-    return res
+    cases = [(APPS[name], l1_kb) for name in ("mri-q", "LIB")
+             for l1_kb in (8, 16, 32, 64)]
+    modes = (LRR, shared(REG, "owf", unroll=True))
+    runs = iter(s.run(
+        [RunSpec.create(app, m, config=replace(s.cfg, l1_size=l1_kb * KB),
+                        scale=s.scale, waves=s.waves)
+         for app, l1_kb in cases for m in modes]))
+    rows = []
+    for app, l1_kb in cases:
+        base, best = next(runs), next(runs)
+        rows.append({
+            "app": app.name, "l1_kb": l1_kb, "ipc_base": _ipc(base),
+            "ipc_shared": _ipc(best), "improvement_pct": _impr(base, best),
+            "l1_miss_base": _fail(base) or round(
+                float(base.mem["l1_miss_rate"]), 3),
+            "l1_miss_shared": _fail(best) or round(
+                float(best.mem["l1_miss_rate"]), 3)})
+    return rows
 
 
-@_experiment
-def ext_variance_sensitivity(config: GPUConfig | None = None,
-                             scale: float = 1.0,
-                             waves: float = 6.0,
-                             engine: Engine | None = None
-                             ) -> ExperimentResult:
-    """Ablation: sharing gain vs per-warp work imbalance.
+def _hotspot_like(v: float) -> App:
+    """A hotspot-shaped kernel with per-warp work variance ``v``."""
+    def build(s: float):
+        b = KernelBuilder("hotspot-v", block_size=256, regs=36, seed=103,
+                          variance=v)
+        with b.loop(max(2, round(50 * s))):
+            b.ldg(region="temp", footprint=256 * KB, block_private=False)
+            b.alu_chain(2)
+            b.alu_indep(4)
+        b.stg(region="out", footprint=256 * KB)
+        return b.build()
+    return App(f"hotspot-v{v}", "extension", 1, "registers", build)
+
+
+def _variance_sensitivity(s: _Setting) -> Rows:
+    """Sharing gain vs per-warp work imbalance.
 
     Warp-level register handoff converts the block-drain phase (fast
     warps done, block still holding all resources) into useful overlap.
@@ -192,41 +142,36 @@ def ext_variance_sensitivity(config: GPUConfig | None = None,
     gains grow with imbalance.  This isolates the work_variance modelling
     decision documented in DESIGN.md §4.
     """
-    cfg = _cfg(config)
-    res = ExperimentResult(
-        "ext_variance_sensitivity",
-        "Ablation: register-sharing gain vs work variance (hotspot body)",
-        ["variance", "ipc_base", "ipc_shared", "improvement_pct"])
-    from repro.isa.builder import KernelBuilder as _KB
-
-    def hotspot_like(v: float):
-        def build(s: float):
-            b = _KB("hotspot-v", block_size=256, regs=36, seed=103,
-                    variance=v)
-            with b.loop(max(2, round(50 * s))):
-                b.ldg(region="temp", footprint=256 * KB,
-                      block_private=False)
-                b.alu_chain(2)
-                b.alu_indep(4)
-            b.stg(region="out", footprint=256 * KB)
-            return b.build()
-        return _App(f"hotspot-v{v}", "extension", 1, "registers", build)
-
     variances = (0.0, 0.15, 0.3, 0.45, 0.6)
-    modes = [unshared("lrr"), shared(REG, "owf", unroll=True)]
-    results = iter(_engine(engine).run_batch(
-        [RunSpec.create(hotspot_like(v), m, config=cfg, scale=scale,
-                        waves=waves)
-         for v in variances for m in modes]))
-    for v in variances:
-        base, best = next(results), next(results)
-        res.rows.append({
-            "variance": v,
-            "ipc_base": round(base.ipc, 2),
-            "ipc_shared": round(best.ipc, 2),
-            "improvement_pct": round(improvement(base, best), 2),
-        })
-    res.notes = ("The workloads use v=0.15-0.6 calibrated per app "
-                 "(docs/workloads.md); the paper's real benchmarks carry "
-                 "this imbalance intrinsically.")
-    return res
+    apps = [_hotspot_like(v) for v in variances]
+    grid = s.grid(apps, [LRR, shared(REG, "owf", unroll=True)])
+    return [{"variance": v, "ipc_base": _ipc(base),
+             "ipc_shared": _ipc(best), "improvement_pct": _impr(base, best)}
+            for v, (base, best) in zip(variances, grid)]
+
+
+_register("ext_early_release",
+          "Extension (Sec. VIII): live-range early release of shared "
+          "registers", _early_release,
+          "Early release only pays off when warps have a long "
+          "shared-register-free tail (tailheavy); for loop-dominated "
+          "kernels like hotspot the pool is live until the last "
+          "iteration and ER matches plain sharing.", waves=6.0)
+_register("ext_threshold_frontier",
+          "Ablation: fine-grained sharing-threshold frontier",
+          _threshold_frontier,
+          "Block counts move in Eq. 4 steps; IPC follows the block "
+          "count, not t itself — the paper's Tables V-VIII sampled "
+          "this frontier at six points.", waves=6.0)
+_register("ext_cache_sensitivity",
+          "Ablation: register-sharing gain vs L1 capacity (cache-bound apps)",
+          _cache_sensitivity,
+          "16 KB is the paper's Table I configuration; the crossover "
+          "confirms the cache-contention explanation for mri-q/LIB.",
+          waves=6.0)
+_register("ext_variance_sensitivity",
+          "Ablation: register-sharing gain vs work variance (hotspot body)",
+          _variance_sensitivity,
+          "The workloads use v=0.15-0.6 calibrated per app "
+          "(docs/workloads.md); the paper's real benchmarks carry this "
+          "imbalance intrinsically.", waves=6.0)

@@ -1,11 +1,15 @@
 """Harness: modes, runner, experiment registry, report rendering."""
 
+import json
+
 import pytest
 
 from repro.config import GPUConfig
 from repro.core.sharing import SharedResource
+from repro.harness.engine import Engine
 from repro.harness.experiments import (EXPERIMENTS, SHARING_PCTS,
                                        run_experiment)
+from repro.harness.golden import TINY_KEY, golden_path
 from repro.harness.report import format_table, render_experiment
 from repro.harness.runner import Mode, improvement, run, shared, unshared
 from repro.workloads.apps import APPS
@@ -120,6 +124,22 @@ class TestSimExperimentsSmoke:
         for row in res.rows:
             for col in res.columns:
                 assert col in row
+
+
+@pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
+def test_failed_runs_render_as_fail_cells(exp_id):
+    """Every run hits a 10-cycle limit: each cell a run feeds reads
+    ``FAIL:limit``, and every other cell keeps its golden value."""
+    engine = Engine(jobs=1, cache=False, max_cycles=10)
+    res = run_experiment(exp_id, config=GPUConfig().scaled(num_clusters=1),
+                         scale=0.15, waves=1.0, engine=engine)
+    want = json.loads(golden_path().read_text())[TINY_KEY][exp_id]
+    assert len(res.rows) == len(want)
+    for got, golden in zip(res.rows, want):
+        assert list(got) == res.columns
+        failed = [c for c in res.columns if got[c] != golden[c]]
+        assert all(got[c] == "FAIL:limit" for c in failed), got
+        assert bool(failed) == bool(engine.failures), got
 
 
 class TestReport:
