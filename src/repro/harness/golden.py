@@ -184,8 +184,7 @@ def check_goldens() -> list[str]:
         else:
             problems += _diff_rows(exp_id, got[exp_id], want[exp_id])
     want_tiny = want.get(TINY_KEY, {})
-    # JSON has no tuples: compare in the file's own encoding.
-    got_tiny = json.loads(json.dumps(collect_tiny()))
+    got_tiny = collect_tiny()
     for exp_id in sorted(set(want_tiny) | set(got_tiny)):
         if exp_id not in want_tiny:
             problems.append(f"{TINY_KEY} {exp_id}: missing from golden file")
