@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core.sharing import SharedResource, SharingSpec, plan_sharing
+from repro.core.sharing import SharingSpec, plan_sharing
 from repro.harness.engine import RunSpec
-from repro.harness.experiments import (LRR, Rows, _fail, _impr, _ipc,
-                                       _register, _Setting)
+from repro.harness.experiments import (LRR, REG, SPAD, Rows, _fail, _impr,
+                                       _ipc, _register, _Setting)
 from repro.harness.runner import shared
 from repro.isa.builder import KernelBuilder
 from repro.workloads.apps import APPS, App
@@ -30,8 +30,6 @@ from repro.workloads.apps import APPS, App
 __all__ = ["tail_heavy_kernel"]
 
 KB = 1024
-REG = SharedResource.REGISTERS
-SPAD = SharedResource.SCRATCHPAD
 
 
 def tail_heavy_kernel(scale: float = 1.0):
