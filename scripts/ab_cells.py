@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Cell-interleaved A/B timing of two source trees on the fig-sweep cells.
+"""Cell-interleaved A/B timing of two source trees on benchmark cells.
 
     python scripts/ab_cells.py TREE_A TREE_B [--passes 4] [--seed 31] [--tiny]
+    python scripts/ab_cells.py TREE_A TREE_B --random-mix [--passes 16]
 
 ``TREE_A`` and ``TREE_B`` are checkouts of this repository (say, the
 parent commit unpacked with ``git archive`` and the working tree).  One
@@ -20,6 +21,13 @@ Prints one line per pass with both CPU totals and the ratio A / B
 ``RunResult`` is compared between the trees; the script exits 1 if any
 differs.  ``--tiny`` runs the cells on 1 cluster at scale 0.15 and
 waves 1 (a smoke run of a few seconds).
+
+``--random-mix`` times perfbench's random-mix ops instead: the op list
+of ``random_ops(seed)`` from each tree's ``perfbench/workloads.py``,
+each op a generated kernel (``RANDOM_PARAMS``) run on a grid of
+``random_grid`` blocks, timed from kernel generation to result as
+perfbench times it.  A pass is the next 150 ops of the list (8 with
+``--tiny``), run in the same ABBA order.
 """
 
 from __future__ import annotations
@@ -30,7 +38,12 @@ import os
 import statistics
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
+
+
+#: Ops per pass in ``--random-mix`` mode (normal, ``--tiny``).
+MIX_OPS = (150, 8)
 
 
 def worker(src: str) -> None:
@@ -44,29 +57,49 @@ def worker(src: str) -> None:
     from repro.harness.runner import run, shared, unshared
     from repro.workloads import APPS, SET1, SET2
 
+    def fig_cells(seed: int, tiny: bool) -> list:
+        fig8c = shared(SharedResource.REGISTERS, "owf", unroll=True,
+                       dyn=True)
+        fig8d = shared(SharedResource.SCRATCHPAD, "owf")
+        cells = ([(a, m) for a in SET1 for m in (unshared("lrr"), fig8c)]
+                 + [(a, m) for a in SET2 for m in (unshared("lrr"), fig8d)])
+        random.Random(seed).shuffle(cells)
+        if tiny:
+            cfg, scale, waves = GPUConfig().scaled(num_clusters=1), 0.15, 1.0
+        else:
+            cfg, scale, waves = GPUConfig().scaled(num_clusters=4), 1.0, 3.0
+        return [(f"{a} {m.label}",
+                 partial(run, APPS[a], m, config=cfg, scale=scale,
+                         waves=waves))
+                for a, m in cells]
+
+    def mix_ops(seed: int, n: int) -> list:
+        sys.path.insert(0, str(Path(src).parent / "perfbench"))
+        from workloads import RANDOM_PARAMS, random_grid, random_ops
+
+        from repro.workloads.generator import generate_kernel
+
+        cfgs = {c: GPUConfig().scaled(num_clusters=c) for c in (1, 2)}
+
+        def op(kseed: int, mode, clusters: int):
+            kernel = generate_kernel(kseed, RANDOM_PARAMS)
+            return run(kernel, mode, config=cfgs[clusters],
+                       grid_blocks=random_grid(kernel))
+
+        return [(f"kernel {k} {m.label} x{c}", partial(op, k, m, c))
+                for k, m, c in random_ops(seed, n)]
+
     cells: list = []
-    cfg = scale = waves = None
     for line in sys.stdin:
         req = json.loads(line)
         if req["op"] == "cells":
-            fig8c = shared(SharedResource.REGISTERS, "owf", unroll=True,
-                           dyn=True)
-            fig8d = shared(SharedResource.SCRATCHPAD, "owf")
-            cells = ([(a, m) for a in SET1 for m in (unshared("lrr"), fig8c)]
-                     + [(a, m) for a in SET2
-                        for m in (unshared("lrr"), fig8d)])
-            random.Random(req["seed"]).shuffle(cells)
-            if req["tiny"]:
-                cfg, scale, waves = GPUConfig().scaled(num_clusters=1), \
-                    0.15, 1.0
-            else:
-                cfg, scale, waves = GPUConfig().scaled(num_clusters=4), \
-                    1.0, 3.0
-            out = {"cells": [f"{a} {m.label}" for a, m in cells]}
+            cells = (mix_ops(req["seed"], req["n"]) if req["n"]
+                     else fig_cells(req["seed"], req["tiny"]))
+            out = {"cells": [label for label, _ in cells]}
         else:
-            app, mode = cells[req["i"]]
+            job = cells[req["i"]][1]
             t0 = time.process_time()
-            r = run(APPS[app], mode, config=cfg, scale=scale, waves=waves)
+            r = job()
             out = {"cpu": time.process_time() - t0, "result": r.to_dict()}
         sys.stdout.write(json.dumps(out) + "\n")
         sys.stdout.flush()
@@ -104,11 +137,16 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--passes", type=int, default=4)
     ap.add_argument("--seed", type=int, default=31)
     ap.add_argument("--tiny", action="store_true")
+    ap.add_argument("--random-mix", action="store_true",
+                    help="time perfbench's random-mix ops, not the "
+                         "fig-sweep cells")
     args = ap.parse_args(argv)
 
+    per_pass = MIX_OPS[args.tiny] if args.random_mix else 0
     workers = [Worker(args.tree_a.resolve()), Worker(args.tree_b.resolve())]
     try:
-        labels = [w.ask(op="cells", seed=args.seed, tiny=args.tiny)["cells"]
+        labels = [w.ask(op="cells", seed=args.seed, tiny=args.tiny,
+                        n=per_pass * args.passes)["cells"]
                   for w in workers]
         if labels[0] != labels[1]:
             print("the trees define different cells", file=sys.stderr)
@@ -117,7 +155,9 @@ def main(argv: list[str] | None = None) -> int:
         ratios, diffs = [], 0
         for p in range(args.passes):
             cpu = [0.0, 0.0]
-            for i, cell in enumerate(cells):
+            lo = p * per_pass
+            for i, cell in enumerate(cells[lo:lo + per_pass] if per_pass
+                                     else cells, lo):
                 order = (0, 1) if i % 2 == 0 else (1, 0)
                 got = {}
                 for side in order:
@@ -130,9 +170,9 @@ def main(argv: list[str] | None = None) -> int:
             ratios.append(cpu[0] / cpu[1])
             print(f"pass {p + 1}: A {cpu[0]:.2f} s  B {cpu[1]:.2f} s  "
                   f"A/B {ratios[-1]:.3f}", flush=True)
+        unit = f"{per_pass} ops" if per_pass else f"{len(cells)} cells"
         print(f"median A/B {statistics.median(ratios):.3f} over "
-              f"{len(ratios)} passes of {len(cells)} cells; "
-              f"{diffs} differing results")
+              f"{len(ratios)} passes of {unit}; {diffs} differing results")
         return 1 if diffs else 0
     finally:
         for w in workers:

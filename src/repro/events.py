@@ -18,6 +18,11 @@ Two kinds of entries live in the heap:
   docs/performance.md).  This replaces one closure allocation plus two
   Python frames per wake on the simulator's hottest path.
 
+  Wakes of MSHR-rejected warps (``BLOCK_RETRY``) are the exception:
+  they settle after the cycle's last event has fired, per SM, through
+  ``SMCore.settle_retries``, which may *park* the warps instead of
+  making them READY when a retry could only be rejected again.
+
 Both kinds return a handle that :meth:`cancel` marks dead in O(1); dead
 entries are lazily discarded when they surface at the heap top (pop or
 :meth:`next_cycle`), so cancellation never needs an O(n) heap rebuild.
@@ -37,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["EventQueue"]
 
 _READY = WarpState.READY
+_BLOCK_RETRY = WarpState.BLOCK_RETRY
 _heappush = heapq.heappush
 
 #: A heap entry: ``[cycle, seq, payload]``.  The payload slot holds a
@@ -105,11 +111,14 @@ class EventQueue:
         """Fire every live event scheduled at or before ``cycle``.
 
         Events may push new events; newly pushed events due at or before
-        ``cycle`` also fire this call.  Returns the number fired.
+        ``cycle`` also fire this call.  MSHR-retry wakes are collected
+        per SM and settled after the last of them (see the module
+        docstring).  Returns the number fired.
         """
         n = 0
         heap = self._heap
         pop = heapq.heappop
+        retries: dict["SMCore", list["WarpContext"]] | None = None
         while heap and heap[0][0] <= cycle:
             ev = pop(heap)
             payload = ev[2]
@@ -120,9 +129,18 @@ class EventQueue:
             if type(payload) is tuple:
                 sm, warp, token = payload
                 if warp.wake_token == token:
-                    sm.now = cycle
-                    sm._set_state(warp, _READY)
+                    if (warp.state is _BLOCK_RETRY
+                            and sm._parked is not None):
+                        if retries is None:
+                            retries = {}
+                        retries.setdefault(sm, []).append(warp)
+                    else:
+                        sm.now = cycle
+                        sm._set_state(warp, _READY)
             else:
                 payload(cycle)
             n += 1
+        if retries is not None:
+            for sm, warps in retries.items():
+                sm.settle_retries(warps, cycle)
         return n

@@ -82,6 +82,12 @@ def main(argv: list[str] | None = None) -> int:
     return _dispatch(args)
 
 
+def _counts(engine: Engine) -> tuple[int, int, int, int]:
+    """The engine counters a footer reports, as deltas per experiment."""
+    st = engine.stats
+    return st.sims, st.hits, st.failures, st.quarantined
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     cfg = GPUConfig().scaled(num_clusters=args.clusters)
     engine = Engine(**engine_kwargs(args), fail_fast=args.fail_fast,
@@ -93,13 +99,13 @@ def _dispatch(args: argparse.Namespace) -> int:
     verdicts: Counter[str] = Counter()
     for exp_id in ids:
         t0 = time.perf_counter()
-        sims0, hits0 = engine.stats.sims, engine.stats.hits
+        before = _counts(engine)
         nfail0 = len(engine.failures)
         res = run_experiment(exp_id, config=cfg, scale=args.scale,
                              waves=args.waves, engine=engine)
         dt = time.perf_counter() - t0
-        sims = engine.stats.sims - sims0
-        hits = engine.stats.hits - hits0
+        sims, hits, failures, quarantined = (
+            now - then for now, then in zip(_counts(engine), before))
         print(render_experiment(res))
         if args.chart and res.rows and args.chart in res.rows[0]:
             label = res.columns[0]
@@ -110,10 +116,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(claim.line(verdict))
         footer = (f"[{exp_id}: {dt:.1f}s | {sims} sims, {hits} cache hits, "
                   f"jobs {engine.jobs}")
-        if engine.stats.failures:
-            footer += f", {engine.stats.failures} failures"
-        if engine.stats.quarantined:
-            footer += f", {engine.stats.quarantined} quarantined"
+        if failures:
+            footer += f", {failures} failures"
+        if quarantined:
+            footer += f", {quarantined} quarantined"
         print(footer + "]")
         for f in engine.failures[nfail0:]:
             print(f"  FAILED: {f.describe()}", file=sys.stderr)

@@ -131,6 +131,11 @@ def _hotspot_like(v: float) -> App:
     return App(f"hotspot-v{v}", "extension", 1, "registers", build)
 
 
+#: Built once: the kernel memo is keyed on each ``App``'s ``build``, so
+#: new ``App``s on every call would rebuild their kernels every time.
+_HOTSPOT_VARIANTS = {v: _hotspot_like(v) for v in (0.0, 0.15, 0.3, 0.45, 0.6)}
+
+
 def _variance_sensitivity(s: _Setting) -> Rows:
     """Sharing gain vs per-warp work imbalance.
 
@@ -140,12 +145,11 @@ def _variance_sensitivity(s: _Setting) -> Rows:
     gains grow with imbalance.  This isolates the work_variance modelling
     decision documented in DESIGN.md §4.
     """
-    variances = (0.0, 0.15, 0.3, 0.45, 0.6)
-    apps = [_hotspot_like(v) for v in variances]
-    grid = s.grid(apps, [LRR, shared(REG, "owf", unroll=True)])
+    grid = s.grid(list(_HOTSPOT_VARIANTS.values()),
+                  [LRR, shared(REG, "owf", unroll=True)])
     return [{"variance": v, "ipc_base": _ipc(base),
              "ipc_shared": _ipc(best), "improvement_pct": _impr(base, best)}
-            for v, (base, best) in zip(variances, grid)]
+            for v, (base, best) in zip(_HOTSPOT_VARIANTS, grid)]
 
 
 _register("ext_early_release",

@@ -109,6 +109,18 @@ class Cache:
         self.gen += 1
         return waiters
 
+    def mshr_demand(self, lines: tuple[int, ...]) -> int:
+        """MSHRs a load of the distinct ``lines`` would allocate: the
+        lines neither cached nor already pending.  The load is admitted
+        when this does not exceed :attr:`mshr_free`."""
+        present = self._present
+        mshr = self.mshr
+        n = 0
+        for ln in lines:
+            if ln not in present and ln not in mshr:
+                n += 1
+        return n
+
     @property
     def mshr_free(self) -> int:
         """Number of free miss-status registers."""

@@ -66,6 +66,11 @@ class MemoryHierarchy:
             for p in range(n_part)
         ]
         self.dram = [DramController(config, events) for _ in range(n_part)]
+        #: Per SM, called with the cycle after each fill of its L1 and
+        #: before the fill's waiters run; an SM sets it while it has
+        #: parked warps (see ``SMCore.settle_retries``).
+        self.on_l1_fill: list[Callable[[int], None] | None] = \
+            [None] * num_sms
 
     # ------------------------------------------------------------------
     def _partition(self, line_addr: int) -> int:
@@ -93,11 +98,7 @@ class MemoryHierarchy:
         l1 = self.l1[sm_id]
         uniq = lines if assume_unique else tuple(dict.fromkeys(lines))
         mshr = l1.mshr
-        present = l1._present
-        new = 0
-        for ln in uniq:
-            if ln not in present and ln not in mshr:
-                new += 1
+        new = l1.mshr_demand(uniq)
         if new > l1.n_mshrs - len(mshr):
             l1.stats.mshr_rejects += 1
             if self._obs_on:
@@ -150,7 +151,11 @@ class MemoryHierarchy:
                          partial(self._l1_fill, sm_id, line))
 
     def _l1_fill(self, sm_id: int, line: int, cycle: int) -> None:
-        for done in self.l1[sm_id].fill(line):
+        waiters = self.l1[sm_id].fill(line)
+        recheck = self.on_l1_fill[sm_id]
+        if recheck is not None:
+            recheck(cycle)
+        for done in waiters:
             done(cycle)
 
     # ------------------------------------------------------------------

@@ -64,5 +64,10 @@ class TwoLevelScheduler(WarpScheduler):
         self.last = warp
         self._active_group = warp.dynamic_id // self.group_size
 
+    def in_active_group(self, warp: "WarpContext") -> bool:
+        """True when pass 1 can pick ``warp``, so that selecting it
+        leaves the active group as it is."""
+        return warp.dynamic_id // self.group_size == self._active_group
+
 
 SCHEDULERS["two_level"] = TwoLevelScheduler

@@ -213,7 +213,7 @@ class GPU:
             if all_zero and not any(c[0] for c in cats):
                 nxt = events.next_cycle()
                 if nxt is None:
-                    raise SimulationDeadlock(self._deadlock_report(cycle))
+                    nxt = self._unpark_all(cycle)
                 if nxt > cycle:
                     # No SM issued, and a step that issues nothing moves
                     # no warp of another SM, so each SM's counters still
@@ -235,6 +235,20 @@ class GPU:
                 raise self._limit_exceeded(max_cycles)
 
         return self._epilogue(cycle)
+
+    def _unpark_all(self, cycle: int) -> int:
+        """The event queue ran dry at ``cycle``: put every parked warp
+        back on its MSHR retry chain (``SMCore._unpark``) and return the
+        next cycle with work, so a load the L1 can never admit still
+        runs into ``max_cycles`` as on the reference core."""
+        parked = [sm for sm in self.sms if sm._parked]
+        if not parked:
+            raise SimulationDeadlock(self._deadlock_report(cycle))
+        for sm in parked:
+            sm._unpark(cycle)
+        if any(sm.has_ready() for sm in parked):
+            return cycle
+        return self.events.next_cycle()
 
     def _run_reference(self, max_cycles: int) -> RunResult:
         """The original loop: step every SM, scan-based classification.

@@ -34,6 +34,7 @@ from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.request import AddressMap, coalesce_lines
 from repro.obs.sink import NULL_SINK, ObsSink
 from repro.sched.base import WarpScheduler, make_scheduler
+from repro.sched.two_level import TwoLevelScheduler
 from repro.sim.block import BlockContext, SharePair
 from repro.sim.stats import SMStats
 from repro.sim.warp import REG_PENDING, WarpContext, WarpState
@@ -102,7 +103,13 @@ class SharingRuntime:
 
 
 class SMCore:
-    """One streaming multiprocessor."""
+    """One streaming multiprocessor.
+
+    Keep its instance attributes at 30 or fewer (29 today): CPython
+    shares one key table among a class's instances only up to 30, and
+    past that every attribute read in :meth:`step` and :meth:`_gate`
+    gets slower (31 made fig-sweep about 3.5 % slower).
+    """
 
     def __init__(self, sm_id: int, kernel: Kernel, config: GPUConfig,
                  events: EventQueue, hierarchy: MemoryHierarchy,
@@ -154,6 +161,15 @@ class SMCore:
         #: ``on_issued``; otherwise ``step`` sets ``last`` itself.
         self._issue_hook = (type(self.schedulers[0]).on_issued
                             is not WarpScheduler.on_issued)
+        #: MSHR-rejected warps waiting without a retry wake, each with
+        #: the cycle of its last attempt (see :meth:`settle_retries`).
+        #: None turns parking off: it skips retry attempts, so a sink
+        #: that observes each one (its state changes or its rejections)
+        #: must not meet it.
+        sink = type(obs)
+        self._parked: Optional[list[tuple[WarpContext, int]]] = (
+            [] if sink.warp_state is ObsSink.warp_state
+            and sink.mshr_reject is ObsSink.mshr_reject else None)
         self.stats = SMStats(sm_id=sm_id)
         self.warps: list[WarpContext] = []
         self.resident_blocks = 0
@@ -211,6 +227,8 @@ class SMCore:
             warp.sched.n_ready -= 1
         elif state is _READY:
             warp.sched.n_ready += 1
+            if self._parked:
+                self._unpark(self.now)
         c = self._cat_n
         c[_CAT[old]] -= 1
         c[_CAT[state]] += 1
@@ -263,6 +281,104 @@ class SMCore:
         for w in waiters:
             if w.state is WarpState.BLOCK_LOCK:
                 self._update_readiness(w, self.now)
+
+    def settle_retries(self, warps: list[WarpContext], cycle: int) -> None:
+        """Settle the MSHR-retry wakes of ``warps`` due at ``cycle``.
+
+        :meth:`EventQueue.run_due` hands them over once every event of
+        the cycle has fired.  When no warp of this SM is READY and each
+        retry could only be rejected again, stepping the SM would only
+        reject them all: each warp counts that attempt and *parks*
+        instead of pushing its next wake.  Otherwise they become READY.
+
+        A parked warp still retries every ``_MSHR_RETRY`` cycles from
+        its last attempt; :meth:`_unpark` counts the attempts it skipped
+        and puts it back on that chain.  That happens when a warp of
+        this SM becomes READY (:meth:`_set_state`; a block launch, the
+        other way in, happens only in a step, which needs a READY warp
+        already), when an L1 fill may admit a parked load
+        (:meth:`_recheck_parked`) or when the event queue runs dry
+        (``GPU._run_fast``).  Until then no warp of the SM is READY and
+        its L1 changes only by fills, so every skipped attempt would
+        have been rejected with no other effect.
+        """
+        self.now = cycle
+        if self._cat_n[0] or not all(map(self._retry_rejected, warps)):
+            for w in warps:
+                self._set_state(w, _READY)
+        else:
+            self._park(warps, cycle)
+
+    def _park(self, warps: list[WarpContext], cycle: int) -> None:
+        """Count the rejected attempts of ``warps`` at ``cycle`` and
+        park them, without a wake, until :meth:`_unpark`."""
+        l1 = self.l1
+        n = len(warps)
+        self.stats.mshr_stalls += n
+        l1.stats.mshr_rejects += n
+        gen = l1.gen
+        for w in warps:
+            w.pend_gen = gen
+            self._parked.append((w, cycle))
+        self.hierarchy.on_l1_fill[self.sm_id] = self._recheck_parked
+
+    def _retry_rejected(self, warp: WarpContext) -> bool:
+        """True when an MSHR retry of ``warp`` could only be rejected.
+
+        Mirrors :meth:`_gate` up to the load without its side effects:
+        neither the Dyn gate (it may draw) nor a Fig. 3 acquire may be
+        reached, a two-level scheduler must be able to pick the warp
+        without switching groups, and the L1 must reject the warp's
+        pending lines.
+        """
+        block = warp.block
+        pair = block.pair
+        if pair is not None:
+            if self.dyn is not None and pair.owner != block.side:
+                return False
+            if (warp.instr.max_reg >= self._private_regs
+                    and not pair.reg_group.holds(block.side, warp.slot)):
+                return False
+        sched = warp.sched
+        if (isinstance(sched, TwoLevelScheduler)
+                and not sched.in_active_group(warp)):
+            return False
+        l1 = self.l1
+        return (warp.pend_gen == l1.gen
+                or l1.mshr_demand(warp.pend_lines) > l1.mshr_free)
+
+    def _recheck_parked(self, cycle: int) -> None:
+        """An L1 fill at ``cycle``: release the parked warps if it
+        admits any of their loads."""
+        l1 = self.l1
+        free = l1.mshr_free
+        for w, _ in self._parked:
+            if l1.mshr_demand(w.pend_lines) <= free:
+                self._unpark(cycle)
+                return
+
+    def _unpark(self, cycle: int) -> None:
+        """Put every parked warp back on its retry chain at ``cycle``.
+
+        A warp last rejected at ``r`` skipped the attempts at ``r + 4j``
+        before ``cycle``; each counts as one rejection.  Its next
+        attempt is due at the first chain point at or after ``cycle``:
+        if that is ``cycle`` the warp becomes READY at once, as its wake
+        would make it this cycle; otherwise a wake is pushed.
+        """
+        parked, self._parked = self._parked, []
+        self.hierarchy.on_l1_fill[self.sm_id] = None
+        skipped = 0
+        for w, r in parked:
+            k = (cycle - 1 - r) // _MSHR_RETRY
+            skipped += k
+            nxt = r + (k + 1) * _MSHR_RETRY
+            if nxt == cycle:
+                self._set_state(w, _READY)
+            else:
+                self.events.push_wake(nxt, self, w)
+        self.stats.mshr_stalls += skipped
+        self.l1.stats.mshr_rejects += skipped
 
     def release_dyn_blocked(self, cycle: int) -> None:
         """Dyn monitoring window ended: unblock refused warps."""

@@ -96,6 +96,21 @@ class TestHarnessCli:
         out = capsys.readouterr().out
         assert "| 16 sims, 0 cache hits, jobs 1]" in out
 
+    def test_footer_failures_per_experiment(self, capsys):
+        # ext_early_release runs 9 specs after ext_cache_sensitivity's
+        # 16; each footer counts only its own failed runs.
+        assert harness_main(["all", "--clusters", "1", "--scale", "0.15",
+                             "--waves", "1", "--max-cycles", "10",
+                             "--no-cache", "--jobs", "1"]) == 1
+        footers = {ln[1:ln.index(":")]: ln
+                   for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("[")}
+        assert len(footers) == 26
+        assert footers["ext_cache_sensitivity"].endswith(
+            "| 0 sims, 0 cache hits, jobs 1, 16 failures]")
+        assert footers["ext_early_release"].endswith(
+            "| 0 sims, 0 cache hits, jobs 1, 9 failures]")
+
     def test_warm_cache_zero_sims(self, tmp_path, capsys):
         argv = ["fig8c", "--clusters", "1", "--scale", "0.15", "--waves",
                 "1", "--jobs", "1", "--cache-dir", str(tmp_path)]

@@ -15,8 +15,11 @@ upholds the DESIGN.md §6 invariants, not just the final counters, and
 another is traced on both cores to pin the issue order itself.
 ``TestGeneratedKernels`` compares the two cores directly on seeded
 random kernels, outside the curated apps the goldens cover.
+``TestParking`` checks that the fast core parks MSHR-rejected warps
+where it should, and that parked warps keep both cores in step.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -24,12 +27,19 @@ import pytest
 from repro.config import GPUConfig
 from repro.core.sharing import SharedResource, SharingSpec, plan_sharing
 from repro.core.unroll import reorder_registers
+from repro.events import EventQueue
 from repro.harness.golden import (CORE_APPS, check_core_goldens,
                                   core_config, core_key,
                                   core_matrix, golden_core_path)
 from repro.harness.runner import run, shared, unshared
+from repro.isa.builder import KernelBuilder
+from repro.isa.opcodes import Pattern
 from repro.obs import Observer
+from repro.obs.sink import NULL_SINK
+from repro.sim.gpu import GPU, SimulationLimitExceeded
+from repro.sim.sm import SMCore
 from repro.sim.trace import TraceRecorder
+from repro.sim.warp import WarpState
 from repro.workloads.apps import APPS
 from repro.workloads.generator import GeneratorParams, generate_kernel
 
@@ -128,6 +138,8 @@ _SPAD = SharedResource.SCRATCHPAD
 #: both sides of Rw·t at t = 0.1 and 0.5, early release, Dyn, the
 #: stateful two-level ``on_issued``, GTO, scratchpad sharing, unshared
 #: blocks, and 1 and 2 clusters (``test_slice_covers_fast_path_edges``).
+#: The last cell draws Dyn decisions on SM1 for non-owner warps that the
+#: fast core must never park (``SMCore._retry_rejected``).
 _GEN_CELLS = [
     (20, shared(_REG, "lrr", t=0.1), 1),
     (5, shared(_REG, "owf", t=0.5, unroll=True, dyn=True), 1),
@@ -145,6 +157,7 @@ _GEN_CELLS = [
     (18, unshared("two_level"), 1),
     (10, unshared("owf"), 1),
     (2, unshared("lrr"), 2),
+    (31, shared(_REG, "lrr", t=0.5, unroll=True, dyn=True), 2),
 ]
 
 
@@ -183,6 +196,31 @@ class TestGeneratedKernels:
                                                 "owf"}
         assert {m.sharing for m in modes} == {None, _REG, _SPAD}
         assert {c for _, _, c in _GEN_CELLS} == {1, 2}
+
+    def test_slice_parks_warps(self, monkeypatch):
+        # No result can show whether the fast core parked a warp, so
+        # spy on it: under the TraceRecorder and sanitizer of
+        # test_cores_agree, the slice must park warps on 1 and on 2
+        # clusters, under two-level and under Dyn.
+        parks = []
+        park = SMCore._park
+
+        def spy(sm, warps, cycle):
+            parks.append(len(warps))
+            park(sm, warps, cycle)
+
+        monkeypatch.setattr(SMCore, "_park", spy)
+        parked = []
+        for seed, mode, clusters in _GEN_CELLS:
+            kernel, cfg = _gen_cell(seed, mode, clusters)
+            n = len(parks)
+            run(kernel, mode, config=cfg, waves=3.0, sanitize=True,
+                core="fast", obs=TraceRecorder())
+            if len(parks) > n:
+                parked.append((mode, clusters))
+        assert {c for _, c in parked} == {1, 2}
+        assert any(m.scheduler == "two_level" for m, _ in parked)
+        assert any(m.dyn for m, _ in parked)
 
     @pytest.mark.parametrize(
         "seed,mode,clusters", _GEN_CELLS,
@@ -226,6 +264,100 @@ class TestObservedCoresAgree:
                        obs=Observer(metrics=True)).metrics
                    for core in ("fast", "reference")]
         assert metrics[0] == metrics[1]
+
+
+#: One SM whose L1 has two MSHRs.
+_TWO_MSHRS = dataclasses.replace(GPUConfig().scaled(num_clusters=1),
+                                 l1_mshrs=2)
+
+
+def _strided_load_kernel(block_size: int, txn: int):
+    """Each warp loads ``txn`` distinct lines, then uses the result."""
+    b = KernelBuilder(f"ld{txn}", block_size=block_size, regs=8)
+    d = b.ldg(region="a", footprint=64 * 1024, pattern=Pattern.STRIDED,
+              txn=txn)
+    b.alu(src=(d,))
+    return b.build()
+
+
+class TestParking:
+    """The fast core parks a warp whose MSHR retries could only be
+    rejected, and counts the attempts it skipped when it lets it go."""
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_backprop_retry_wakes(self, monkeypatch, observed):
+        # The TestObservedCoresAgree cell.  Without a sink, most
+        # attempts are counted at release, with no wake of their own;
+        # an Observer sees every attempt, so each pushes its wake.
+        wakes = 0
+        push_wake = EventQueue.push_wake
+
+        def spy(ev, cycle, sm, warp):
+            nonlocal wakes
+            wakes += warp.state is WarpState.BLOCK_RETRY
+            return push_wake(ev, cycle, sm, warp)
+
+        monkeypatch.setattr(EventQueue, "push_wake", spy)
+        res = run(APPS["backprop"], unshared("lrr"),
+                  config=GPUConfig().scaled(num_clusters=1), scale=0.3,
+                  waves=1.0, obs=Observer() if observed else NULL_SINK)
+        stalls = sum(s.mshr_stalls for s in res.sm_stats)
+        assert stalls > 100
+        if observed:
+            assert wakes == stalls
+        else:
+            assert wakes < stalls
+
+    def test_parked_warp_through_fills(self, monkeypatch):
+        # Two warps on one SM with two MSHRs: warp 0's two-line load
+        # takes both, warp 1's is rejected and parks.  The fill of warp
+        # 0's first line leaves one MSHR, still too few; the second
+        # admits the load and releases the warp.  Shifting the DRAM
+        # latency by 0-3 cycles puts the release on every residue of
+        # the 4-cycle retry chain, so it lands on a retry cycle once.
+        kernel = _strided_load_kernel(64, 2)
+        calls, phases = [], set()
+        recheck, unpark = SMCore._recheck_parked, SMCore._unpark
+
+        def spy_recheck(sm, cycle):
+            recheck(sm, cycle)
+            calls.append("release" if not sm._parked else "keep")
+
+        def spy_unpark(sm, cycle):
+            phases.update((cycle - r) % 4 for _, r in sm._parked)
+            unpark(sm, cycle)
+
+        monkeypatch.setattr(SMCore, "_recheck_parked", spy_recheck)
+        monkeypatch.setattr(SMCore, "_unpark", spy_unpark)
+        for extra in range(4):
+            lat = _TWO_MSHRS.latency
+            cfg = dataclasses.replace(_TWO_MSHRS, latency=dataclasses.replace(
+                lat, dram_fixed=lat.dram_fixed + extra))
+            calls.clear()
+            fast, ref = (GPU(kernel, cfg, core=core).run()
+                         for core in ("fast", "reference"))
+            assert calls == ["keep", "release"]
+            assert fast.to_dict() == ref.to_dict()
+            assert fast.sm_stats[0].mshr_stalls > 10
+        assert phases == {0, 1, 2, 3}
+
+    def test_load_wider_than_mshrs_hits_cycle_limit(self, monkeypatch):
+        # Four lines never fit two MSHRs.  The parked warp has no fill
+        # to wait for, so the fast core releases it whenever the event
+        # queue runs dry, and both cores run into the cycle limit
+        # instead of reporting a deadlock.
+        kernel = _strided_load_kernel(32, 4)
+        parks = []
+        park = SMCore._park
+        monkeypatch.setattr(SMCore, "_park",
+                            lambda sm, w, c: parks.append(c) or park(sm, w, c))
+        errors = []
+        for core in ("fast", "reference"):
+            with pytest.raises(SimulationLimitExceeded) as exc:
+                GPU(kernel, _TWO_MSHRS, core=core).run(max_cycles=2000)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+        assert len(parks) > 100
 
 
 class TestCoreSelection:

@@ -23,7 +23,7 @@ from repro.harness.engine import Engine, ResultCache, RunSpec, code_salt
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.faults import corrupt_cache_entry
 from repro.harness.runner import run, shared, unshared
-from repro.workloads.apps import APPS
+from repro.workloads.apps import APPS, _build_kernel
 from repro.workloads.generator import generate_kernel
 
 CFG = GPUConfig().scaled(num_clusters=1)
@@ -255,6 +255,16 @@ class TestWarmPath:
             run_experiment(exp_id, engine=warm, **tiny)
         assert warm.stats.sims == 0 and warm.stats.hits > 0
         assert builds and max(builds.values()) == 1
+
+    def test_warm_variance_sensitivity_builds_nothing(self, tmp_path):
+        # Its five hotspot variants are built once, not on every call.
+        tiny = dict(config=CFG, scale=0.1, waves=0.5)
+        eng = Engine(jobs=1, cache_dir=tmp_path)
+        run_experiment("ext_variance_sensitivity", engine=eng, **tiny)
+        misses = _build_kernel.cache_info().misses
+        run_experiment("ext_variance_sensitivity", engine=eng, **tiny)
+        assert eng.stats.hits == 10
+        assert _build_kernel.cache_info().misses == misses
 
 
 class TestResultCache:

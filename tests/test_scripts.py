@@ -104,3 +104,11 @@ class TestAbCells:
         out = capsys.readouterr().out
         assert "pass 1: A " in out
         assert "over 1 passes of 30 cells; 0 differing results" in out
+
+    def test_random_mix_tiny(self, capsys):
+        root = str(SCRIPTS.parent)
+        assert ab_mod.main([root, root, "--random-mix", "--tiny",
+                            "--passes", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "pass 2: A " in out
+        assert "over 2 passes of 8 ops; 0 differing results" in out

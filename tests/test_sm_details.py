@@ -128,3 +128,20 @@ class TestClassification:
         empty_sm = r.sm_stats[1]
         assert empty_sm.empty_cycles == r.cycles
         assert empty_sm.instructions == 0
+
+
+@pytest.mark.parametrize("core", ["fast", "reference"])
+def test_sm_core_keeps_shared_attribute_keys(core):
+    # CPython shares one key table among a class's instances only up to
+    # 30 attributes; past that every attribute read in SMCore.step and
+    # _gate gets slower (see the SMCore docstring).
+    from repro.obs import Observer
+    from repro.workloads.apps import APPS
+
+    kernel = APPS["MUM"].kernel(0.1).with_grid(4)
+    plan = plan_sharing(kernel, CFG1, SharingSpec(SharedResource.REGISTERS,
+                                                  0.1))
+    gpu = GPU(kernel, CFG1, plan=plan, dyn=True, early_release=True,
+              sanitize=True, core=core, obs=Observer())
+    gpu.run()
+    assert max(len(vars(sm)) for sm in gpu.sms) <= 30
