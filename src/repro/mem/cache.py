@@ -42,11 +42,13 @@ class Cache:
         self.line_size = line_size
         self.n_sets = size // (assoc * line_size)
         self.n_mshrs = mshrs
-        # Each set is an LRU-ordered list of line addresses, MRU last.
-        self._sets: list[list[int]] = [[] for _ in range(self.n_sets)]
+        # Each set is an LRU-ordered list of line addresses, MRU last,
+        # built on its first fill: a short run touches few sets.
+        self._sets: list[list[int] | None] = [None] * self.n_sets
         # Flat mirror of every cached line for O(1) presence checks
-        # (``probe`` and the MSHR admission scan); the per-set lists
-        # remain the source of truth for LRU order and eviction.
+        # (``probe``, ``fill`` and the MSHR admission checks); the
+        # per-set lists remain the source of truth for LRU order and
+        # eviction.
         self._present: set[int] = set()
         # Outstanding misses: line addr -> list of opaque waiter tokens.
         self.mshr: dict[int, list[object]] = {}
@@ -75,8 +77,9 @@ class Cache:
         if line_addr in self._present:
             self.stats.hits += 1
             s = self._sets[(line_addr // self.line_size) % self.n_sets]
-            s.remove(line_addr)
-            s.append(line_addr)  # MRU
+            if s[-1] != line_addr:
+                s.remove(line_addr)
+                s.append(line_addr)  # MRU
             return "hit"
         if not allocate:
             self.stats.misses += 1
@@ -98,16 +101,33 @@ class Cache:
 
     def fill(self, line_addr: int) -> list[object]:
         """Install a returning line; returns and clears its waiters."""
-        waiters = self.mshr.pop(line_addr, [])
-        s = self._sets[(line_addr // self.line_size) % self.n_sets]
-        if line_addr not in s:
-            if len(s) >= self.assoc:
-                self._present.discard(s.pop(0))  # evict LRU
-                self.stats.evictions += 1
-            s.append(line_addr)
-            self._present.add(line_addr)
+        waiters = self.mshr.pop(line_addr, None)
+        present = self._present
+        if line_addr not in present:
+            i = (line_addr // self.line_size) % self.n_sets
+            s = self._sets[i]
+            if s is None:
+                self._sets[i] = [line_addr]
+            else:
+                if len(s) >= self.assoc:
+                    present.discard(s.pop(0))  # evict LRU
+                    self.stats.evictions += 1
+                s.append(line_addr)
+            present.add(line_addr)
         self.gen += 1
-        return waiters
+        return [] if waiters is None else waiters
+
+    def rejects(self, lines: tuple[int, ...]) -> bool:
+        """True when a load of the distinct ``lines`` must be rejected:
+        it needs more MSHRs than are free (see :meth:`mshr_demand`)."""
+        mshr = self.mshr
+        if len(lines) == 1:
+            # A one-line load is rejected exactly when no MSHR is free
+            # and its line is neither cached nor pending.
+            ln = lines[0]
+            return (len(mshr) >= self.n_mshrs and ln not in mshr
+                    and ln not in self._present)
+        return self.mshr_demand(lines) > self.n_mshrs - len(mshr)
 
     def mshr_demand(self, lines: tuple[int, ...]) -> int:
         """MSHRs a load of the distinct ``lines`` would allocate: the
@@ -130,7 +150,6 @@ class Cache:
         """Drop all cached lines (MSHRs must be drained first)."""
         if self.mshr:
             raise RuntimeError("cannot flush with outstanding misses")
-        for s in self._sets:
-            s.clear()
+        self._sets = [None] * self.n_sets
         self._present.clear()
         self.gen += 1

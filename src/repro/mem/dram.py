@@ -44,13 +44,17 @@ class DramStats:
 
 
 class _Bank:
-    __slots__ = ("open_row", "free_at", "queue", "busy")
+    __slots__ = ("open_row", "free_at", "queue", "serving", "complete")
 
-    def __init__(self) -> None:
+    def __init__(self, controller: "DramController") -> None:
         self.open_row: int | None = None
         self.free_at = 0
         self.queue: list[_Req] = []
-        self.busy = False
+        #: Completion callback of the request in service; None when the
+        #: bank is idle.
+        self.serving: Callable[[int], None] | None = None
+        #: This bank's completion event, built once instead of per request.
+        self.complete = partial(controller._complete, self)
 
 
 class DramController:
@@ -63,37 +67,56 @@ class DramController:
     def __init__(self, config: GPUConfig, events: EventQueue) -> None:
         self.cfg = config
         self.events = events
-        self.ratio = config.latency.dram_clock_ratio
-        self.t = config.timings
-        self.banks = [_Bank() for _ in range(config.banks_per_partition)]
+        # Row-buffer delays from service start to data, and the burst,
+        # in core cycles.
+        r = config.latency.dram_clock_ratio
+        t = config.timings
+        self._hit_delay = t.tCL * r
+        self._open_delay = (t.tRCD + t.tCL) * r
+        self._conflict_delay = (t.tRP + t.tRCD + t.tCL) * r
+        self._write_delay = t.tWR * r
+        self._burst = t.burst * r
+        self.banks = [_Bank(self) for _ in range(config.banks_per_partition)]
         self.lines_per_row = max(1, config.dram_row_size // config.line_size)
+        #: Address bytes per row-sized run of this partition's lines
+        #: (lines interleave across partitions): the run index gives
+        #: bank and row.
+        self._run_bytes = (config.line_size * config.num_mem_partitions
+                           * self.lines_per_row)
         self._bus_free = 0
         self.stats = DramStats()
 
     # ------------------------------------------------------------------
     def locate(self, line_addr: int) -> tuple[int, int]:
         """(bank, row) for a line address already routed to this partition."""
-        lp = line_addr // self.cfg.line_size // self.cfg.num_mem_partitions
-        bank = (lp // self.lines_per_row) % len(self.banks)
-        row = lp // (self.lines_per_row * len(self.banks))
-        return bank, row
+        run = line_addr // self._run_bytes
+        n_banks = len(self.banks)
+        return run % n_banks, run // n_banks
 
     def access(self, line_addr: int, now: int, *, is_store: bool,
                on_complete: Callable[[int], None]) -> None:
         """Enqueue a request; ``on_complete(cycle)`` fires when data is done."""
-        bank_idx, row = self.locate(line_addr)
-        bank = self.banks[bank_idx]
-        bank.queue.append((now, row, is_store, on_complete))
-        self.stats.requests += 1
+        # locate(), inlined: one call per DRAM request.
+        run = line_addr // self._run_bytes
+        banks = self.banks
+        bank = banks[run % len(banks)]
+        bank.queue.append((now, run // len(banks), is_store, on_complete))
+        stats = self.stats
+        stats.requests += 1
         if is_store:
-            self.stats.stores += 1
-        if not bank.busy:
-            self._schedule(bank_idx, now)
+            stats.stores += 1
+        if bank.serving is None:
+            self._schedule(bank, now)
 
     @property
     def queued(self) -> int:
         """Requests currently waiting in bank queues."""
         return sum(len(b.queue) for b in self.banks)
+
+    @property
+    def busy(self) -> bool:
+        """True while any request is queued or in service."""
+        return any(b.queue or b.serving is not None for b in self.banks)
 
     # ------------------------------------------------------------------
     def _pick(self, bank: _Bank, now: int) -> int:
@@ -117,40 +140,47 @@ class DramController:
             return oldest_i
         return hit_i
 
-    def _schedule(self, bank_idx: int, now: int) -> None:
-        bank = self.banks[bank_idx]
-        if bank.busy or not bank.queue:
-            return
-        i = self._pick(bank, now)
-        enq, row, is_store, cb = bank.queue.pop(i)
-        self.stats.total_queue_wait += now - enq
+    def _schedule(self, bank: _Bank, now: int) -> None:
+        """Start serving a request of the idle ``bank``, whose queue is
+        not empty."""
+        queue = bank.queue
+        # A lone request is its own FR-FCFS pick.
+        enq, row, is_store, cb = (queue.pop() if len(queue) == 1
+                                  else queue.pop(self._pick(bank, now)))
+        stats = self.stats
+        stats.total_queue_wait += now - enq
 
-        r = self.ratio
-        if bank.open_row == row:
-            delay = self.t.tCL * r
-            self.stats.row_hits += 1
-        elif bank.open_row is None:
-            delay = (self.t.tRCD + self.t.tCL) * r
-            self.stats.row_opens += 1
+        open_row = bank.open_row
+        if open_row == row:
+            delay = self._hit_delay
+            stats.row_hits += 1
+        elif open_row is None:
+            delay = self._open_delay
+            stats.row_opens += 1
         else:
-            delay = (self.t.tRP + self.t.tRCD + self.t.tCL) * r
-            self.stats.row_conflicts += 1
+            delay = self._conflict_delay
+            stats.row_conflicts += 1
         if is_store:
-            delay += self.t.tWR * r
-        burst = self.t.burst * r
+            delay += self._write_delay
 
-        start = max(now, bank.free_at)
-        data_start = max(start + delay, self._bus_free)
-        done = data_start + burst
+        # max(now, free_at) and max(start + delay, bus_free), without
+        # the builtin calls: this runs once per DRAM request.
+        start = bank.free_at
+        if now > start:
+            start = now
+        data_start = start + delay
+        if self._bus_free > data_start:
+            data_start = self._bus_free
+        done = data_start + self._burst
         self._bus_free = done
         bank.open_row = row
         bank.free_at = done
-        bank.busy = True
+        bank.serving = cb
+        self.events.push(done, bank.complete)
 
-        self.events.push(done, partial(self._complete, bank_idx, cb))
-
-    def _complete(self, bank_idx: int, cb: Callable[[int], None],
-                  cycle: int) -> None:
-        self.banks[bank_idx].busy = False
+    def _complete(self, bank: _Bank, cycle: int) -> None:
+        cb = bank.serving
+        bank.serving = None
         cb(cycle)
-        self._schedule(bank_idx, cycle)
+        if bank.queue and bank.serving is None:
+            self._schedule(bank, cycle)

@@ -48,8 +48,15 @@ class MemoryHierarchy:
     def __init__(self, config: GPUConfig, events: EventQueue,
                  num_sms: int, obs: ObsSink = NULL_SINK) -> None:
         self.cfg = config
-        self.lat = config.latency
         self.events = events
+        # Per-run constants read on every request.
+        lat = config.latency
+        self._l1_hit = lat.l1_hit
+        self._interconnect = lat.interconnect
+        self._l2_hit = lat.l2_hit
+        self._dram_fixed = lat.dram_fixed
+        self._line_size = config.line_size
+        self._n_part = config.num_mem_partitions
         self.obs = obs
         self._obs_on = obs.enabled
         self.l1 = [
@@ -73,10 +80,6 @@ class MemoryHierarchy:
             [None] * num_sms
 
     # ------------------------------------------------------------------
-    def _partition(self, line_addr: int) -> int:
-        return (line_addr // self.cfg.line_size) % self.cfg.num_mem_partitions
-
-    # ------------------------------------------------------------------
     # load path
     #
     # Each stage of a transaction is a bound method scheduled through
@@ -96,16 +99,16 @@ class MemoryHierarchy:
         stores deduplicated tuples), skipping the dedup pass.
         """
         l1 = self.l1[sm_id]
-        uniq = lines if assume_unique else tuple(dict.fromkeys(lines))
-        mshr = l1.mshr
-        new = l1.mshr_demand(uniq)
-        if new > l1.n_mshrs - len(mshr):
+        uniq = (lines if assume_unique or len(lines) == 1
+                else tuple(dict.fromkeys(lines)))
+        if l1.rejects(uniq):
             l1.stats.mshr_rejects += 1
             if self._obs_on:
                 self.obs.mshr_reject(sm_id, now)
             return False
         if self._obs_on:
-            self.obs.mshr_sample(sm_id, len(mshr) + new, l1.n_mshrs, now)
+            self.obs.mshr_sample(sm_id, len(l1.mshr) + l1.mshr_demand(uniq),
+                                 l1.n_mshrs, now)
             on_done = self.obs.mem_request(sm_id, len(uniq), now, on_done)
         # An L1 waiter is called with the cycle its line arrives.  A
         # one-line load completes with its line; a wider one counts
@@ -113,8 +116,8 @@ class MemoryHierarchy:
         done = (on_done if len(uniq) == 1
                 else _LoadToken(len(uniq), on_done).line_done)
         push = self.events.push
-        hit_at = now + self.lat.l1_hit
-        at_l2 = now + self.lat.interconnect
+        hit_at = now + self._l1_hit
+        at_l2 = now + self._interconnect
         for ln in uniq:
             res = l1.lookup(ln, done)
             if res == "hit":
@@ -126,28 +129,31 @@ class MemoryHierarchy:
         return True
 
     def _l2_load(self, sm_id: int, line: int, now: int) -> None:
-        p = self._partition(line)
+        p = (line // self._line_size) % self._n_part
         l2 = self.l2[p]
-        deliver = partial(self._l2_deliver, sm_id, line)
-        res = l2.lookup(line, deliver)
+        # An L2 waiter is the id of the SM whose L1 the line goes to.
+        res = l2.lookup(line, sm_id)
         if res == "hit":
-            self.events.push(now + self.lat.l2_hit, deliver)
+            self.events.push(now + self._l2_hit,
+                             partial(self._l2_deliver, sm_id, line))
         elif res == "miss":
             self.dram[p].access(
-                line, now + self.lat.l2_hit + self.lat.dram_fixed,
+                line, now + self._l2_hit + self._dram_fixed,
                 is_store=False, on_complete=partial(self._l2_fill, l2, line))
         elif res == "reject":
             self.events.push(now + _L2_RETRY,
                              partial(self._l2_load, sm_id, line))
-        # merge: nothing to do, the pending fill will call ``deliver``
+        # merge: nothing to do, the pending fill delivers to ``sm_id``
 
-    @staticmethod
-    def _l2_fill(l2: Cache, line: int, cycle: int) -> None:
-        for deliver in l2.fill(line):
-            deliver(cycle)
+    def _l2_fill(self, l2: Cache, line: int, cycle: int) -> None:
+        # _l2_deliver for each waiting SM, inlined.
+        at_l1 = cycle + self._interconnect
+        push = self.events.push
+        for sm_id in l2.fill(line):
+            push(at_l1, partial(self._l1_fill, sm_id, line))
 
     def _l2_deliver(self, sm_id: int, line: int, cycle: int) -> None:
-        self.events.push(cycle + self.lat.interconnect,
+        self.events.push(cycle + self._interconnect,
                          partial(self._l1_fill, sm_id, line))
 
     def _l1_fill(self, sm_id: int, line: int, cycle: int) -> None:
@@ -164,20 +170,20 @@ class MemoryHierarchy:
     def store(self, sm_id: int, lines: tuple[int, ...], now: int) -> None:
         """Issue a warp store (write-through, never blocks the warp)."""
         l1 = self.l1[sm_id]
-        at_l2 = now + self.lat.interconnect
-        for ln in dict.fromkeys(lines):
+        at_l2 = now + self._interconnect
+        push = self.events.push
+        for ln in lines if len(lines) == 1 else dict.fromkeys(lines):
             l1.lookup(ln, None, allocate=False)
-            self.events.push(at_l2, partial(self._l2_store, ln))
+            push(at_l2, partial(self._l2_store, ln))
 
     def _l2_store(self, line: int, now: int) -> None:
-        p = self._partition(line)
+        p = (line // self._line_size) % self._n_part
         l2 = self.l2[p]
-        res = l2.lookup(line, None, allocate=False)
-        if res == "bypass":
+        if l2.lookup(line, None, allocate=False) == "bypass":
             # Write-allocate at L2: install the line when DRAM acks, and
             # serve any load that missed on it meanwhile.
             self.dram[p].access(
-                line, now + self.lat.dram_fixed, is_store=True,
+                line, now + self._dram_fixed, is_store=True,
                 on_complete=partial(self._l2_fill, l2, line))
 
     # ------------------------------------------------------------------
@@ -206,5 +212,4 @@ class MemoryHierarchy:
     def in_flight(self) -> bool:
         """True while any load/store is still outstanding anywhere."""
         return (any(c.mshr for c in self.l1) or any(c.mshr for c in self.l2)
-                or any(d.queued or any(b.busy for b in d.banks)
-                       for d in self.dram))
+                or any(d.busy for d in self.dram))

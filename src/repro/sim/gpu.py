@@ -210,25 +210,31 @@ class GPU:
                 else:
                     st.empty_cycles += 1
             cycle += 1
-            if all_zero and not any(c[0] for c in cats):
-                nxt = events.next_cycle()
-                if nxt is None:
-                    nxt = self._unpark_all(cycle)
-                if nxt > cycle:
-                    # No SM issued, and a step that issues nothing moves
-                    # no warp of another SM, so each SM's counters still
-                    # give the class it was charged this cycle.
-                    gap = nxt - cycle
-                    for sm, st, c in visits:
-                        if c[1]:
-                            st.stall_cycles += gap
-                            if dyn is not None:
-                                dyn.record_stall(sm.sm_id, gap)
-                        elif c[2]:
-                            st.idle_cycles += gap
-                        else:
-                            st.empty_cycles += gap
-                    cycle = nxt
+            if all_zero:
+                # Any READY warp?  A plain loop: no generator per idle
+                # cycle.
+                for c in cats:
+                    if c[0]:
+                        break
+                else:
+                    nxt = events.next_cycle()
+                    if nxt is None:
+                        nxt = self._unpark_all(cycle)
+                    if nxt > cycle:
+                        # No SM issued, and a step that issues nothing moves
+                        # no warp of another SM, so each SM's counters still
+                        # give the class it was charged this cycle.
+                        gap = nxt - cycle
+                        for sm, st, c in visits:
+                            if c[1]:
+                                st.stall_cycles += gap
+                                if dyn is not None:
+                                    dyn.record_stall(sm.sm_id, gap)
+                            elif c[2]:
+                                st.idle_cycles += gap
+                            else:
+                                st.empty_cycles += gap
+                        cycle = nxt
             if sanitizer is not None:
                 sanitizer.maybe_check(self, cycle)
             if cycle > max_cycles:

@@ -344,16 +344,14 @@ class SMCore:
                 and not sched.in_active_group(warp)):
             return False
         l1 = self.l1
-        return (warp.pend_gen == l1.gen
-                or l1.mshr_demand(warp.pend_lines) > l1.mshr_free)
+        return warp.pend_gen == l1.gen or l1.rejects(warp.pend_lines)
 
     def _recheck_parked(self, cycle: int) -> None:
         """An L1 fill at ``cycle``: release the parked warps if it
         admits any of their loads."""
         l1 = self.l1
-        free = l1.mshr_free
         for w, _ in self._parked:
-            if l1.mshr_demand(w.pend_lines) <= free:
+            if not l1.rejects(w.pend_lines):
                 self._unpark(cycle)
                 return
 

@@ -151,3 +151,24 @@ def test_property_matches_reference_lru(line_ids):
         if got == "miss":
             c.fill(addr)
         assert (got == "hit") == ref_hit
+
+
+@given(st.lists(st.integers(0, 15), max_size=40),
+       st.lists(st.integers(0, 15), min_size=1, max_size=4, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_rejects_matches_mshr_demand(ops, load):
+    """``rejects`` (with its one-line shortcut) agrees with the count:
+    a load is rejected exactly when it needs more MSHRs than are free.
+    ``ops`` drives the cache: even ids miss or merge, odd ids fill."""
+    c = Cache(size=2 * 2 * 64, assoc=2, line_size=64, mshrs=3)
+    for op in ops:
+        line = op // 2 * 64
+        if op % 2 == 0:
+            c.lookup(line, "w")
+        elif line in c.mshr:
+            c.fill(line)
+    lines = tuple(i * 64 for i in load)
+    assert c.rejects(lines) == (c.mshr_demand(lines) > c.mshr_free)
+    if len(lines) == 1:
+        # One line: rejected exactly when its lookup would be.
+        assert c.rejects(lines) == (c.lookup(lines[0], "w") == "reject")

@@ -191,3 +191,53 @@ class TestPickOrder:
                  on_complete=lambda c: done.append("ld4"))
         drain(ev)
         assert done == ["warm", "st4", "ld4", "hit6", "miss"]
+
+
+class TestCompletionCycles:
+    """Exact completion cycles at the Table I timings (core cycles)."""
+
+    @staticmethod
+    def _done_at(d, ev, line, at, *, is_store=False):
+        done = []
+        d.access(line, at, is_store=is_store,
+                 on_complete=lambda c: done.append(c))
+        drain(ev)
+        return done[0]
+
+    def test_row_open_hit_and_conflict(self):
+        _, ev, d = setup()
+        stride = 128 * 6
+        far = _same_bank_rows(d, 1)[0]
+        assert self._done_at(d, ev, 0, 1000) == 1000 + 56      # row open
+        assert self._done_at(d, ev, stride, 2000) == 2000 + 32  # row hit
+        assert self._done_at(d, ev, far, 3000) == 3000 + 80     # conflict
+
+    def test_store_adds_write_recovery(self):
+        _, ev, d = setup()
+        stride = 128 * 6
+        far = _same_bank_rows(d, 1)[0]
+        assert self._done_at(d, ev, 0, 1000, is_store=True) == 1000 + 56 + 24
+        assert self._done_at(d, ev, stride, 2000,
+                              is_store=True) == 2000 + 32 + 24
+        assert self._done_at(d, ev, far, 3000,
+                              is_store=True) == 3000 + 80 + 24
+
+    def test_two_banks_serialise_on_the_data_bus(self):
+        cfg, ev, d = setup()
+        # One line of bank 1: the next row-sized run of lines.
+        bank1 = cfg.line_size * cfg.num_mem_partitions * d.lines_per_row
+        assert d.locate(bank1)[0] == 1
+        far0 = _same_bank_rows(d, 1)[0]
+        far1 = far0 + bank1
+        assert d.locate(far1) == (1, 1)
+        self._done_at(d, ev, 0, 0)
+        self._done_at(d, ev, bank1, 1000)
+        # Both banks start a row conflict at 5000; the second burst
+        # waits for the first on the shared data bus.
+        done = []
+        d.access(far0, 5000, is_store=False,
+                 on_complete=lambda c: done.append(("bank0", c)))
+        d.access(far1, 5000, is_store=False,
+                 on_complete=lambda c: done.append(("bank1", c)))
+        drain(ev)
+        assert done == [("bank0", 5080), ("bank1", 5088)]
