@@ -8,9 +8,10 @@
 parent commit unpacked with ``git archive`` and the working tree).  One
 long-lived worker process per tree puts that tree's ``src/`` first on
 ``sys.path`` and imports ``repro`` from it once, so import and warm-up
-costs stay out of the timings.  The 30 Fig. 8(c)/(d) cells (the 15
+costs stay out of the timings.  The 30 Fig. 8(c)/(d) cells
+(``fig_cells(seed)`` from each tree's ``perfbench/workloads.py``: the 15
 Set-1/Set-2 apps under Unshared-LRR and under the figure's sharing
-mode, at perfbench's fig-sweep size: 4 clusters, scale 1.0, waves 3)
+mode, run at perfbench's fig-sweep size: 4 clusters, scale 1.0, waves 3)
 run alternately on the two workers in ABBA order: cell k of a pass runs
 on A first when k is even and on B first when k is odd, so a change of
 host speed during a pass hits both trees alike.  Each cell's time is
@@ -48,22 +49,17 @@ MIX_OPS = (150, 8)
 
 def worker(src: str) -> None:
     """Serve ``cells`` and ``run`` requests, one JSON line each."""
-    sys.path.insert(0, src)
-    import random
+    sys.path[:0] = [src, str(Path(src).parent / "perfbench")]
     import time
 
+    import workloads as bench
+
     from repro.config import GPUConfig
-    from repro.core.sharing import SharedResource
-    from repro.harness.runner import run, shared, unshared
-    from repro.workloads import APPS, SET1, SET2
+    from repro.harness.runner import run
+    from repro.workloads import APPS
+    from repro.workloads.generator import generate_kernel
 
     def fig_cells(seed: int, tiny: bool) -> list:
-        fig8c = shared(SharedResource.REGISTERS, "owf", unroll=True,
-                       dyn=True)
-        fig8d = shared(SharedResource.SCRATCHPAD, "owf")
-        cells = ([(a, m) for a in SET1 for m in (unshared("lrr"), fig8c)]
-                 + [(a, m) for a in SET2 for m in (unshared("lrr"), fig8d)])
-        random.Random(seed).shuffle(cells)
         if tiny:
             cfg, scale, waves = GPUConfig().scaled(num_clusters=1), 0.15, 1.0
         else:
@@ -71,23 +67,18 @@ def worker(src: str) -> None:
         return [(f"{a} {m.label}",
                  partial(run, APPS[a], m, config=cfg, scale=scale,
                          waves=waves))
-                for a, m in cells]
+                for a, m in bench.fig_cells(seed)]
 
     def mix_ops(seed: int, n: int) -> list:
-        sys.path.insert(0, str(Path(src).parent / "perfbench"))
-        from workloads import RANDOM_PARAMS, random_grid, random_ops
-
-        from repro.workloads.generator import generate_kernel
-
         cfgs = {c: GPUConfig().scaled(num_clusters=c) for c in (1, 2)}
 
         def op(kseed: int, mode, clusters: int):
-            kernel = generate_kernel(kseed, RANDOM_PARAMS)
+            kernel = generate_kernel(kseed, bench.RANDOM_PARAMS)
             return run(kernel, mode, config=cfgs[clusters],
-                       grid_blocks=random_grid(kernel))
+                       grid_blocks=bench.random_grid(kernel))
 
         return [(f"kernel {k} {m.label} x{c}", partial(op, k, m, c))
-                for k, m, c in random_ops(seed, n)]
+                for k, m, c in bench.random_ops(seed, n)]
 
     cells: list = []
     for line in sys.stdin:

@@ -69,18 +69,6 @@ class RegisterShareGroup:
         """True if the partner warp of (side, slot) has finished."""
         return self._finished[1 - side][slot]
 
-    @property
-    def lock_side(self) -> Optional[int]:
-        """The side whose live warps hold pools (None if no pool held).
-
-        When both sides hold pools (possible after per-pair handoffs),
-        the side holding more is reported — used only for the OWF owner
-        heuristic, never for correctness.
-        """
-        if self._held_count[0] == 0 and self._held_count[1] == 0:
-            return None
-        return 0 if self._held_count[0] >= self._held_count[1] else 1
-
     # ------------------------------------------------------------------
     def try_acquire(self, side: int, slot: int) -> bool:
         """Attempt to take slot ``slot``'s shared pool for ``side``.

@@ -22,10 +22,6 @@ Two kinds of entries live in the heap:
   they settle after the cycle's last event has fired, per SM, through
   ``SMCore.settle_retries``, which may *park* the warps instead of
   making them READY when a retry could only be rejected again.
-
-Both kinds return a handle that :meth:`cancel` marks dead in O(1); dead
-entries are lazily discarded when they surface at the heap top (pop or
-:meth:`next_cycle`), so cancellation never needs an O(n) heap rebuild.
 """
 
 from __future__ import annotations
@@ -45,26 +41,24 @@ _READY = WarpState.READY
 _BLOCK_RETRY = WarpState.BLOCK_RETRY
 _heappush = heapq.heappush
 
-#: A heap entry: ``[cycle, seq, payload]``.  The payload slot holds a
-#: callback, a wake record, or None once fired/cancelled.
-Event = list
+#: A heap entry: ``(cycle, seq, payload)``.  The payload is a callback
+#: or a wake record; ``seq`` is unique, so payloads are never compared.
+Event = tuple
 
 
 class EventQueue:
-    """Min-heap of ``[cycle, seq, payload]`` events with lazy deletion."""
+    """Min-heap of ``(cycle, seq, payload)`` events."""
 
     def __init__(self) -> None:
         self._heap: list[Event] = []
         self._seq = 0
-        #: Cancelled entries still sitting in the heap.
-        self._n_cancelled = 0
 
     def __len__(self) -> int:
-        """Number of live (non-cancelled) pending events."""
-        return len(self._heap) - self._n_cancelled
+        """Number of pending events."""
+        return len(self._heap)
 
-    def push(self, cycle: int, fn: Callable[[int], None]) -> Event:
-        """Schedule ``fn`` to run at ``cycle``; returns a cancel handle.
+    def push(self, cycle: int, fn: Callable[[int], None]) -> None:
+        """Schedule ``fn`` to run at ``cycle``.
 
         The callback receives the cycle at which it actually fires (the
         current simulation time), which equals the scheduled cycle in
@@ -72,43 +66,27 @@ class EventQueue:
         """
         if cycle < 0:
             raise ValueError("cycle must be non-negative")
-        ev: Event = [cycle, self._seq, fn]
+        _heappush(self._heap, (cycle, self._seq, fn))
         self._seq += 1
-        _heappush(self._heap, ev)
-        return ev
 
     def push_wake(self, cycle: int, sm: "SMCore",
-                  warp: "WarpContext") -> Event:
+                  warp: "WarpContext") -> None:
         """Schedule ``warp`` (blocked on ``sm``) to wake READY at
         ``cycle``.  The warp's current ``wake_token`` is captured; any
         later state change invalidates the wake."""
         if cycle < 0:
             raise ValueError("cycle must be non-negative")
-        ev: Event = [cycle, self._seq, (sm, warp, warp.wake_token)]
+        _heappush(self._heap,
+                  (cycle, self._seq, (sm, warp, warp.wake_token)))
         self._seq += 1
-        _heappush(self._heap, ev)
-        return ev
-
-    def cancel(self, ev: Event) -> bool:
-        """Cancel a pending event in O(1); False if it already fired
-        (or was already cancelled) — firing order of the remaining
-        events is unaffected either way."""
-        if ev[2] is None:
-            return False
-        ev[2] = None
-        self._n_cancelled += 1
-        return True
 
     def next_cycle(self) -> int | None:
-        """Cycle of the earliest live event, or None if empty."""
+        """Cycle of the earliest event, or None if empty."""
         heap = self._heap
-        while heap and heap[0][2] is None:
-            heapq.heappop(heap)
-            self._n_cancelled -= 1
         return heap[0][0] if heap else None
 
     def run_due(self, cycle: int) -> int:
-        """Fire every live event scheduled at or before ``cycle``.
+        """Fire every event scheduled at or before ``cycle``.
 
         Events may push new events; newly pushed events due at or before
         ``cycle`` also fire this call.  MSHR-retry wakes are collected
@@ -120,12 +98,7 @@ class EventQueue:
         pop = heapq.heappop
         retries: dict["SMCore", list["WarpContext"]] | None = None
         while heap and heap[0][0] <= cycle:
-            ev = pop(heap)
-            payload = ev[2]
-            if payload is None:
-                self._n_cancelled -= 1
-                continue
-            ev[2] = None
+            payload = pop(heap)[2]
             if type(payload) is tuple:
                 sm, warp, token = payload
                 if warp.wake_token == token:

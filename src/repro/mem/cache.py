@@ -18,11 +18,6 @@ class CacheStats:
     mshr_rejects: int = 0
     evictions: int = 0
 
-    @property
-    def miss_rate(self) -> float:
-        """Misses / accesses (0.0 when the cache was never touched)."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class Cache:
     """Tag-only set-associative LRU cache with miss-status registers.
@@ -54,7 +49,7 @@ class Cache:
         self.mshr: dict[int, list[object]] = {}
         self.stats = CacheStats()
         #: Mutation generation: bumped whenever line *presence* or MSHR
-        #: *occupancy* changes (MSHR allocation, fill/eviction, flush).
+        #: *occupancy* changes (MSHR allocation, fill/eviction).
         #: LRU reordering and waiter merges do not bump it.  While ``gen``
         #: is unchanged, any admission decision derived from ``probe``,
         #: MSHR membership and ``mshr_free`` is guaranteed to repeat —
@@ -145,11 +140,3 @@ class Cache:
     def mshr_free(self) -> int:
         """Number of free miss-status registers."""
         return self.n_mshrs - len(self.mshr)
-
-    def flush(self) -> None:
-        """Drop all cached lines (MSHRs must be drained first)."""
-        if self.mshr:
-            raise RuntimeError("cannot flush with outstanding misses")
-        self._sets = [None] * self.n_sets
-        self._present.clear()
-        self.gen += 1

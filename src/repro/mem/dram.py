@@ -37,11 +37,6 @@ class DramStats:
     stores: int = 0
     total_queue_wait: int = 0
 
-    @property
-    def row_hit_rate(self) -> float:
-        """Row-buffer hit rate over all serviced requests."""
-        return self.row_hits / self.requests if self.requests else 0.0
-
 
 class _Bank:
     __slots__ = ("open_row", "free_at", "queue", "serving", "complete")

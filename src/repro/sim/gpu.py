@@ -188,7 +188,9 @@ class GPU:
         cats = [sm._cat_n for sm in sms]
         grid = dispatcher.kernel.grid_blocks  # dispatcher.done, inlined
         cycle = 0
-        heap = events._heap  # peeked to skip no-op run_due calls
+        # Peeked, not asked: the heap holds no dead entries, so its top
+        # is exactly the next event and run_due is called only when due.
+        heap = events._heap
         while dispatcher.completed < grid:
             if heap and heap[0][0] <= cycle:
                 events.run_due(cycle)

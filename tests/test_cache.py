@@ -97,19 +97,6 @@ class TestLRU:
         assert c.probe(0)
         assert not c.probe(128)
 
-    def test_flush(self):
-        c = mk()
-        c.lookup(0, "w")
-        c.fill(0)
-        c.flush()
-        assert not c.probe(0)
-
-    def test_flush_with_pending_rejected(self):
-        c = mk()
-        c.lookup(0, "w")
-        with pytest.raises(RuntimeError):
-            c.flush()
-
     def test_fill_unrequested_line_installs(self):
         c = mk()
         assert c.fill(0) == []

@@ -78,73 +78,6 @@ class TestOrdering:
         assert got == [100]
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        ev = EventQueue()
-        out = []
-        h = ev.push(3, lambda c: out.append("dead"))
-        ev.push(3, lambda c: out.append("live"))
-        assert ev.cancel(h) is True
-        ev.run_due(5)
-        assert out == ["live"]
-
-    def test_cancel_after_fire_returns_false(self):
-        ev = EventQueue()
-        h = ev.push(1, lambda c: None)
-        ev.run_due(1)
-        assert ev.cancel(h) is False
-
-    def test_double_cancel_returns_false(self):
-        ev = EventQueue()
-        h = ev.push(1, lambda c: None)
-        assert ev.cancel(h) is True
-        assert ev.cancel(h) is False
-
-    def test_len_accounts_for_cancellations(self):
-        ev = EventQueue()
-        handles = [ev.push(i, lambda c: None) for i in range(5)]
-        assert len(ev) == 5
-        ev.cancel(handles[1])
-        ev.cancel(handles[3])
-        assert len(ev) == 3
-        ev.run_due(10)
-        assert len(ev) == 0
-
-    def test_next_cycle_skips_cancelled_top(self):
-        ev = EventQueue()
-        h = ev.push(2, lambda c: None)
-        ev.push(7, lambda c: None)
-        ev.cancel(h)
-        assert ev.next_cycle() == 7
-
-    def test_next_cycle_all_cancelled(self):
-        ev = EventQueue()
-        h = ev.push(2, lambda c: None)
-        ev.cancel(h)
-        assert ev.next_cycle() is None
-        assert len(ev) == 0
-
-    def test_cancellation_preserves_same_cycle_order(self):
-        # Removing one of several same-cycle events must not disturb the
-        # insertion order of the survivors.
-        ev = EventQueue()
-        out = []
-        handles = {}
-        for tag in "abcde":
-            handles[tag] = ev.push(4, lambda c, t=tag: out.append(t))
-        ev.cancel(handles["b"])
-        ev.cancel(handles["d"])
-        ev.run_due(4)
-        assert out == ["a", "c", "e"]
-
-    def test_run_due_count_excludes_cancelled(self):
-        ev = EventQueue()
-        h = ev.push(1, lambda c: None)
-        ev.push(1, lambda c: None)
-        ev.cancel(h)
-        assert ev.run_due(1) == 1
-
-
 class _FakeSM:
     """Duck-typed SMCore stand-in for wake-record dispatch."""
 
@@ -184,13 +117,32 @@ class TestWakeRecords:
         assert warp.state == "blocked"
         assert sm.woken == []
 
-    def test_cancelled_wake_does_not_fire(self):
+    def test_wake_pushed_by_callback_fires_same_call(self):
+        # A wake a callback pushes for the current cycle fires in the
+        # same run_due call, after the entries already due at that cycle.
+        from repro.sim.warp import WarpState
         ev = EventQueue()
         sm, warp = _FakeSM(), _FakeWarp()
-        h = ev.push_wake(9, sm, warp)
-        assert ev.cancel(h) is True
-        ev.run_due(9)
-        assert sm.woken == []
+        out = []
+
+        def first(c):
+            out.append("first")
+            ev.push_wake(c, sm, warp)
+
+        ev.push(5, first)
+        ev.push(5, lambda c: out.append("second"))
+
+        orig = sm._set_state
+
+        def record(w, s):
+            out.append("wake")
+            orig(w, s)
+
+        sm._set_state = record
+        assert ev.run_due(5) == 3
+        assert out == ["first", "second", "wake"]
+        assert warp.state is WarpState.READY
+        assert len(ev) == 0
 
     def test_wakes_and_callbacks_share_one_order(self):
         # Wake records and callback events at the same cycle must fire in

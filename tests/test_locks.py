@@ -91,12 +91,6 @@ class TestHandoff:
         # a fresh side-0 block can acquire again
         assert g.try_acquire(1, 0)
 
-    def test_lock_side_majority(self):
-        g = RegisterShareGroup(4)
-        assert g.lock_side is None
-        g.try_acquire(0, 0)
-        assert g.lock_side == 0
-
 
 class TestScratchpadGroup:
     def test_first_touch_wins(self):
