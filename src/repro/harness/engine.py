@@ -20,8 +20,8 @@ deduplication and persistence of simulations:
 * :class:`ResultCache` — a content-addressed SQLite store
   (``~/.cache/repro/results.db`` by default, override the root with
   ``cache_dir=`` / ``REPRO_CACHE_DIR``) keyed by ``RunSpec.digest()``;
-  each row holds the :meth:`RunResult.to_dict` payload, and a batch
-  reads all of its rows in one query.
+  each row holds one result as a positional JSON array (schema 2, see
+  :class:`ResultCache`), and a batch reads all of its rows in one query.
 * Observability — per-run wall time, hit/miss/dedup counters
   (:class:`EngineStats`) and a per-completion progress callback
   (:class:`RunEvent`).
@@ -54,8 +54,9 @@ import threading
 import time
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
                                 ProcessPoolExecutor, wait)
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
@@ -69,7 +70,7 @@ from repro.harness.runner import Mode, run
 from repro.isa.kernel import Kernel
 from repro.obs import NULL_SINK, Observer
 from repro.sched import SCHEDULERS
-from repro.sim.stats import RunResult
+from repro.sim.stats import RunResult, SMStats
 from repro.workloads.apps import APPS, App
 
 __all__ = ["RunSpec", "Engine", "EngineStats", "RunEvent", "ResultCache",
@@ -77,7 +78,8 @@ __all__ = ["RunSpec", "Engine", "EngineStats", "RunEvent", "ResultCache",
            "default_engine"]
 
 #: Bump when the cache entry layout changes (independent of code salt).
-CACHE_SCHEMA = 1
+#: 2: positional rows (:func:`_to_row`); 1 held ``RunResult.to_dict``.
+CACHE_SCHEMA = 2
 
 #: Sources whose content participates in the code-version salt: anything
 #: that can change simulation results.  Reports/CLI/docs are excluded.
@@ -346,13 +348,48 @@ _IN_MAX = 900
 _BUSY_S = 30.0
 
 
+#: The store's SM rows hold these :class:`SMStats` fields, in this order.
+_SM_VALUES = attrgetter(*(f.name for f in fields(SMStats)))
+_SM_WIDTH = len(fields(SMStats))
+
+
+def _to_row(result: RunResult) -> list:
+    """The positional row :class:`ResultCache` stores for ``result``."""
+    return [result.kernel, result.mode, result.cycles, result.instructions,
+            [_SM_VALUES(s) for s in result.sm_stats],
+            list(result.mem.items()), result.blocks_baseline,
+            result.blocks_total, result.metrics]
+
+
+def _from_row(row: object) -> RunResult:
+    """Inverse of :func:`_to_row`; ``ValueError``/``TypeError`` when
+    ``row`` does not have its shape."""
+    if type(row) is not list or len(row) != 9:
+        raise ValueError("a result row is a list of 9 items")
+    kernel, mode, cycles, instructions, sms, mem, baseline, total, \
+        metrics = row
+    sm_stats = []
+    for values in sms:
+        if type(values) is not list or len(values) != _SM_WIDTH:
+            raise ValueError(f"an SM row is a list of {_SM_WIDTH} items")
+        sm_stats.append(SMStats(*values))
+    return RunResult(kernel, mode, cycles, instructions, sm_stats,
+                     dict(mem), baseline, total, metrics)
+
+
 class ResultCache:
-    """Content-addressed store of :class:`RunResult` payloads.
+    """Content-addressed store of :class:`RunResult` rows.
 
     One SQLite database in WAL mode, ``<root>/results.db``, with one
-    table ``results(digest PRIMARY KEY, schema, payload)`` holding
-    :meth:`RunResult.to_dict` JSON; :meth:`get` serves a whole batch in
-    one query.  A database error is a miss or a dropped write, never a
+    table ``results(digest PRIMARY KEY, schema, payload)``; :meth:`get`
+    serves a whole batch in one query.  A payload of schema 2 is the
+    JSON array ``[kernel, mode, cycles, instructions, sm_rows,
+    mem_pairs, blocks_baseline, blocks_total, metrics]``: one list of
+    :class:`SMStats` values per SM, in field order, the ``[key, value]``
+    pairs of ``mem`` in its order, and ``metrics`` as it is or ``null``.
+    Only this module reads or writes that form;
+    :meth:`RunResult.to_dict` stays the JSON of service payloads and
+    goldens.  A database error is a miss or a dropped write, never a
     failed run, and a row of another :data:`CACHE_SCHEMA` is a plain
     miss.  A ``results.db`` that is not a database at all is moved
     aside once and recreated (see :meth:`_open`).  A row that does not
@@ -437,8 +474,8 @@ class ResultCache:
                     (CACHE_SCHEMA, *chunk)).fetchall()
                 for d, payload in rows:
                     try:
-                        found[d] = RunResult.from_dict(json.loads(payload))
-                    except (ValueError, KeyError, TypeError):
+                        found[d] = _from_row(json.loads(payload))
+                    except (ValueError, TypeError):
                         bad.append(d)
             if bad:
                 self.quarantined += len(bad)
@@ -450,7 +487,7 @@ class ResultCache:
 
     def put(self, digest: str, result: RunResult) -> None:
         """Store ``result`` under ``digest`` (best-effort)."""
-        payload = json.dumps(result.to_dict())
+        payload = json.dumps(_to_row(result), separators=(",", ":"))
         try:
             self.connection().execute(
                 "INSERT OR REPLACE INTO results VALUES (?, ?, ?)",

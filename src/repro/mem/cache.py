@@ -116,13 +116,20 @@ class Cache:
         """True when a load of the distinct ``lines`` must be rejected:
         it needs more MSHRs than are free (see :meth:`mshr_demand`)."""
         mshr = self.mshr
+        free = self.n_mshrs - len(mshr)
         if len(lines) == 1:
             # A one-line load is rejected exactly when no MSHR is free
             # and its line is neither cached nor pending.
             ln = lines[0]
-            return (len(mshr) >= self.n_mshrs and ln not in mshr
-                    and ln not in self._present)
-        return self.mshr_demand(lines) > self.n_mshrs - len(mshr)
+            return free <= 0 and ln not in mshr and ln not in self._present
+        # mshr_demand(lines) > free, stopping at the first line over.
+        present = self._present
+        for ln in lines:
+            if ln not in present and ln not in mshr:
+                free -= 1
+                if free < 0:
+                    return True
+        return False
 
     def mshr_demand(self, lines: tuple[int, ...]) -> int:
         """MSHRs a load of the distinct ``lines`` would allocate: the

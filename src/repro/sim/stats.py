@@ -115,8 +115,8 @@ class RunResult:
 
     def to_dict(self) -> dict:
         """JSON-serializable form; :meth:`from_dict` restores it exactly
-        (ints stay ints, floats stay floats — the engine's disk cache
-        relies on the round trip being bit-exact)."""
+        (ints stay ints, floats stay floats — service payloads and the
+        goldens rely on the round trip being bit-exact)."""
         d = {
             "kernel": self.kernel,
             "mode": self.mode,

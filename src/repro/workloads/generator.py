@@ -20,6 +20,9 @@ __all__ = ["GeneratorParams", "generate_kernel"]
 
 KB = 1024
 
+#: The access patterns a generated load draws from, in enum order.
+_PATTERNS = tuple(Pattern)
+
 
 class GeneratorParams:
     """Bounds for random kernel generation (all inclusive)."""
@@ -81,7 +84,7 @@ def generate_kernel(seed: int, params: GeneratorParams | None = None,
             elif kind < 0.55:
                 b.sfu(1)
             elif kind < 0.75:
-                pat = rng.choice(list(Pattern))
+                pat = _PATTERNS[int(rng.integers(0, len(_PATTERNS)))]
                 txn = (int(rng.integers(1, 9))
                        if pat in (Pattern.STRIDED, Pattern.RANDOM) else 1)
                 b.ldg(region=f"r{int(rng.integers(0, 3))}",

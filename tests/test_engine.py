@@ -10,10 +10,12 @@ import sys
 import threading
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.config import GPUConfig
@@ -23,6 +25,7 @@ from repro.harness.engine import Engine, ResultCache, RunSpec, code_salt
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.faults import corrupt_cache_entry
 from repro.harness.runner import run, shared, unshared
+from repro.sim.stats import RunResult, SMStats
 from repro.workloads.apps import APPS, _build_kernel
 from repro.workloads.generator import generate_kernel
 
@@ -267,6 +270,22 @@ class TestWarmPath:
         assert _build_kernel.cache_info().misses == misses
 
 
+_numbers = st.integers(0, 10**12) | st.floats(allow_nan=False)
+_results = st.builds(
+    RunResult, kernel=st.text(max_size=12), mode=st.text(max_size=12),
+    cycles=st.integers(0, 10**12), instructions=st.integers(0, 10**12),
+    sm_stats=st.lists(st.builds(
+        SMStats, *[st.integers(0, 10**9)] * len(fields(SMStats))),
+        min_size=1, max_size=3),
+    mem=st.dictionaries(st.text(min_size=1, max_size=12), _numbers,
+                        max_size=6),
+    blocks_baseline=st.integers(0, 64), blocks_total=st.integers(0, 64),
+    metrics=st.none() | st.dictionaries(
+        st.text(max_size=8),
+        st.dictionaries(st.text(max_size=8), _numbers, max_size=3),
+        max_size=3))
+
+
 class TestResultCache:
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -296,15 +315,23 @@ class TestResultCache:
     def test_layout(self, tmp_path):
         cache = ResultCache(tmp_path)
         s = spec()
-        cache.put(s.digest(), s.execute())
+        res = s.execute()
+        cache.put(s.digest(), res)
         assert cache.path == tmp_path / "results.db"
         assert sorted(p.name for p in tmp_path.iterdir()
                       if not p.name.startswith("results.db-")) \
             == ["results.db"]
         (digest, schema, payload), = cache.connection().execute(
             "SELECT digest, schema, payload FROM results")
-        assert (digest, schema) == (s.digest(), engine_mod.CACHE_SCHEMA)
-        assert json.loads(payload) == s.execute().to_dict()
+        assert (digest, schema) == (s.digest(), 2)
+        row = json.loads(payload)
+        assert row == [
+            res.kernel, res.mode, res.cycles, res.instructions,
+            [[getattr(sm, f.name) for f in fields(SMStats)]
+             for sm in res.sm_stats],
+            [list(kv) for kv in res.mem.items()],
+            res.blocks_baseline, res.blocks_total, None]
+        assert engine_mod._from_row(row) == res
 
     def test_one_query_per_batch(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
@@ -318,6 +345,24 @@ class TestResultCache:
         eng.run_batch(specs + specs[:1])
         assert calls == [[s.digest() for s in specs]]
         assert eng.stats.hits == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(_results)
+    def test_row_round_trip(self, r):
+        """A row read back from its JSON gives the same ``to_dict`` with
+        the same value types: ints stay ints, floats floats."""
+        back = engine_mod._from_row(json.loads(json.dumps(
+            engine_mod._to_row(r))))
+        assert back == r
+
+        def typed(v):
+            if isinstance(v, dict):
+                return {k: typed(x) for k, x in v.items()}
+            if isinstance(v, list):
+                return [typed(x) for x in v]
+            return type(v), v
+        assert typed(back.to_dict()) == typed(r.to_dict())
+        assert list(back.mem) == list(r.mem)
 
     def test_lookup_larger_than_one_query(self, tmp_path, monkeypatch):
         monkeypatch.setattr(engine_mod, "_IN_MAX", 2)
@@ -563,6 +608,27 @@ class TestCorruptRows:
         assert cache.quarantined == 3
         assert [d for d, in cache.connection().execute(
             "SELECT digest FROM results")] == [good.digest()]
+
+    @pytest.mark.parametrize("bad", ["nine-key object", "8-item list",
+                                     "short SM row"])
+    def test_misshapen_row_deleted_and_resimulated(self, tmp_path, bad):
+        cache = ResultCache(tmp_path)
+        s = spec()
+        expected = s.execute()
+        row = engine_mod._to_row(expected)
+        if bad == "nine-key object":
+            row = dict(zip("abcdefghi", row))
+        elif bad == "8-item list":
+            row = row[:8]
+        else:
+            row[4][0] = list(row[4][0])[:-1]
+        cache.connection().execute(
+            "INSERT INTO results VALUES (?, ?, ?)",
+            (s.digest(), engine_mod.CACHE_SCHEMA, json.dumps(row)))
+        eng = Engine(jobs=1, cache=cache)
+        assert eng.run_one(s) == expected
+        assert (eng.stats.quarantined, eng.stats.sims) == (1, 1)
+        assert cache.get([s.digest()]) == {s.digest(): expected}
 
     def test_engine_surfaces_deleted_count(self, tmp_path):
         cache = ResultCache(tmp_path)

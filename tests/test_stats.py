@@ -122,7 +122,8 @@ run_result_st = st.builds(
 
 
 class TestSerialization:
-    """The engine's disk cache requires a bit-exact JSON round trip."""
+    """Service payloads and goldens require a bit-exact JSON round trip
+    (the engine's store has its own row form, tested in test_engine)."""
 
     @settings(max_examples=50, deadline=None)
     @given(sm_stats_st)
@@ -140,7 +141,7 @@ class TestSerialization:
     @settings(max_examples=50, deadline=None)
     @given(run_result_st)
     def test_round_trip_survives_json(self, r):
-        # through an actual JSON string, as the cache stores it: ints must
+        # through an actual JSON string, as the service sends it: ints must
         # stay ints, floats floats, per-SM counters exact
         restored = RunResult.from_dict(json.loads(json.dumps(r.to_dict())))
         assert restored == r
