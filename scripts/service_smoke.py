@@ -8,7 +8,9 @@ actually deploys:
 1. start ``python -m repro serve`` as a subprocess;
 2. run a fig8-style cell batch through the ``repro submit`` CLI and
    assert every result payload is digest- and result-identical to a
-   direct ``repro run --json`` of the same cell;
+   direct ``repro run --json`` of the same cell; the first cell also
+   goes in as a plain and a ``sanitize`` job claimed in one batch,
+   and both payloads must equal the direct run;
 3. submit 20 jobs so that one batch claims several of them, and
    ``SIGTERM`` the server mid-batch: the process must exit 0 (graceful
    drain), leave no job in ``running``, lose none and hand at least one
@@ -73,8 +75,44 @@ def cli_json(argv: list[str]) -> dict:
     return json.loads(out.stdout)
 
 
+def check_mixed_batch(port: int, local: dict) -> None:
+    """Submit ``local``'s cell as a plain and a sanitized job while a
+    long opener holds the one worker slot, so one claim takes both;
+    each payload must be digest- and result-identical to ``local``."""
+    from repro.config import GPUConfig
+    from repro.harness.engine import RunSpec
+    from repro.harness.runner import unshared
+    from repro.workloads.apps import APPS
+    client = ServiceClient(port=port, client_id="smoke")
+    cfg = GPUConfig().scaled(num_clusters=1)
+    opener = client.submit(RunSpec.create(
+        APPS["gaussian"], unshared("lrr"), config=cfg, scale=1.0,
+        waves=60.0, max_cycles=20_000_002))["id"]
+    deadline = time.monotonic() + 60
+    while opener not in client.healthz()["running_batch"]:
+        if time.monotonic() > deadline:
+            raise SystemExit("the opener's batch never started")
+        time.sleep(0.01)
+    cell = RunSpec.from_dict(local["spec"])
+    ids = [client.submit(cell, sanitize=flag)["id"]
+           for flag in (False, True)]
+    for jid in ids:
+        remote = client.wait(jid, timeout=120)
+        assert remote["ok"], f"mixed-batch job {jid} failed"
+        assert remote["digest"] == local["digest"], "mixed batch: digest"
+        assert remote["result"] == local["result"], "mixed batch: result"
+    jobs = [client.status(jid) for jid in ids]
+    assert [j["sanitize"] for j in jobs] == [False, True]
+    if jobs[0]["started_at"] != jobs[1]["started_at"]:
+        raise SystemExit("the plain and sanitized jobs were claimed in "
+                         "different batches")
+    client.wait(opener, timeout=120)
+    print(f"  cell {cell.app:10s} plain + sanitized in one batch: both "
+          f"identical to the direct run")
+
+
 def check_digest_equality(port: int) -> None:
-    for app, mode in CELLS:
+    for i, (app, mode) in enumerate(CELLS):
         remote = cli_json(["submit", app, "--mode", mode, *RUN_FLAGS,
                            "--port", str(port), "--wait",
                            "--wait-timeout", "120", "--json"])
@@ -87,6 +125,8 @@ def check_digest_equality(port: int) -> None:
             f"{app}/{mode}: result payload mismatch"
         print(f"  cell {app:10s} {mode:12s} digest "
               f"{remote['digest'][:16]}… identical local/remote")
+        if i == 0:
+            check_mixed_batch(port, local)
 
 
 def queue_20_and_sigterm(port: int, db: Path,
@@ -100,7 +140,9 @@ def queue_20_and_sigterm(port: int, db: Path,
     submitted.  When it ends, one claim takes the long, higher-priority
     ``holder`` plus the short jobs queued by then (up to 15).  The
     signal lands while ``holder`` runs, so the drain must requeue that
-    batch's unstarted slots.
+    batch's unstarted slots.  ``holder`` runs five times as long as the
+    opener: while the server simulates, each submission waits on its
+    busy interpreter, and ``holder`` must outlast the 18 that follow.
     """
     client = ServiceClient(port=port, client_id="smoke")
     from repro.config import GPUConfig
@@ -109,9 +151,10 @@ def queue_20_and_sigterm(port: int, db: Path,
     from repro.workloads.apps import APPS
     cfg = GPUConfig().scaled(num_clusters=1)
     opener, holder = (RunSpec.create(APPS["gaussian"], unshared("lrr"),
-                                     config=cfg, scale=1.0, waves=20.0,
+                                     config=cfg, scale=1.0, waves=waves,
                                      max_cycles=max_cycles)
-                      for max_cycles in (20_000_000, 20_000_001))
+                      for waves, max_cycles in ((20.0, 20_000_000),
+                                                (100.0, 20_000_001)))
     specs = [RunSpec.create(APPS["gaussian"], unshared("lrr"),
                             config=cfg, scale=0.2, waves=1.0,
                             max_cycles=10_000_000 + i)

@@ -33,8 +33,9 @@ deduplication and persistence of simulations:
   a wall-clock budget (a hung pool worker is killed, and a run that
   finishes over budget fails); ``fail_fast=True``
   restores the historical abort-on-first-error behaviour;
-  ``sanitize=True`` runs every simulation under the runtime invariant
-  sanitizer (and bypasses the cache so the checks execute);
+  ``sanitize=True`` stamps every spec to run under the runtime
+  invariant sanitizer (sanitized specs bypass the cache so the checks
+  execute);
   ``faults=`` accepts a deterministic
   :class:`~repro.harness.faults.FaultInjector` for chaos testing.
 
@@ -198,6 +199,10 @@ class RunSpec:
     #: Pre-built kernel for non-registry targets (identity lives in
     #: ``kernel_fp``; this field only carries the payload to workers).
     kernel: Kernel | None = field(default=None, compare=False, repr=False)
+    #: Run under the runtime invariant sanitizer.  Outside the identity
+    #: (a clean sanitized run is bit-identical to a plain one), but a
+    #: sanitized spec never reads or writes the result cache.
+    sanitize: bool = field(default=False, compare=False)
 
     @classmethod
     def create(cls, target: App | Kernel, mode: Mode, *,
@@ -286,7 +291,7 @@ class RunSpec:
                 "from JSON?) — only registry-app specs are re-runnable")
         return self.kernel
 
-    def execute(self, sanitize: bool = False) -> RunResult:
+    def execute(self) -> RunResult:
         """Run the simulation this spec describes (no cache, no pool).
 
         With ``metrics``/``trace`` set, the run is observed through an
@@ -300,7 +305,7 @@ class RunSpec:
         res = run(self.target(), self.mode, config=self.config,
                   scale=self.scale, waves=self.waves,
                   grid_blocks=self.grid_blocks, max_cycles=self.max_cycles,
-                  sanitize=sanitize, obs=obs)
+                  sanitize=self.sanitize, obs=obs)
         if self.trace is not None:
             obs.write_trace(self.trace)
         return res
@@ -322,7 +327,6 @@ def _digest(app, kernel_fp, mode, config, scale, waves, grid_blocks,
 
 def _execute_timed(spec: RunSpec, attempt: int = 1,
                    faults: FaultInjector | None = None,
-                   sanitize: bool = False,
                    hard_faults: bool = False) -> tuple[RunResult, float]:
     """Worker entry point (top-level so it pickles).
 
@@ -332,7 +336,7 @@ def _execute_timed(spec: RunSpec, attempt: int = 1,
     t0 = time.perf_counter()
     if faults is not None:
         faults.fire(spec.digest(), attempt, hard=hard_faults)
-    res = spec.execute(sanitize=sanitize)
+    res = spec.execute()
     return res, time.perf_counter() - t0
 
 
@@ -346,6 +350,9 @@ _CONNS_PER_THREAD = 4
 _IN_MAX = 900
 #: How long a store operation waits for another writer's lock.
 _BUSY_S = 30.0
+#: Guards the counters of every :class:`EngineStats` and
+#: :class:`ResultCache`: several threads may run batches on one engine.
+_COUNT_LOCK = threading.Lock()
 
 
 #: The store's SM rows hold these :class:`SMStats` fields, in this order.
@@ -457,7 +464,8 @@ class ResultCache:
                 f = Path(path + suffix)
                 if f.exists():
                     os.replace(f, f.with_name(f.name + ".corrupt"))
-            self.quarantined += 1
+            with _COUNT_LOCK:
+                self.quarantined += 1
             moved = True
 
     def get(self, digests: Sequence[str]) -> dict[str, RunResult]:
@@ -478,7 +486,8 @@ class ResultCache:
                     except (ValueError, TypeError):
                         bad.append(d)
             if bad:
-                self.quarantined += len(bad)
+                with _COUNT_LOCK:
+                    self.quarantined += len(bad)
                 db.executemany("DELETE FROM results WHERE digest = ?",
                                [(d,) for d in bad])
         except (sqlite3.Error, OSError):
@@ -591,9 +600,9 @@ class Engine:
         failure re-raises and aborts the batch.  Default ``False``:
         failures are isolated into :class:`RunFailure` slots.
     sanitize:
-        Run every simulation under the runtime invariant sanitizer
-        (DESIGN.md §6).  Sanitized runs bypass the cache so the checks
-        actually execute.
+        ``True`` turns on ``RunSpec.sanitize`` for every submitted spec:
+        each runs under the runtime invariant sanitizer (DESIGN.md §6)
+        and bypasses the cache so the checks actually execute.
     faults:
         Optional deterministic :class:`FaultInjector` for chaos testing.
     max_cycles:
@@ -654,11 +663,11 @@ class Engine:
                   ) -> list[RunResult | RunFailure]:
         """Execute ``specs``; returns results aligned with the input.
 
-        Identical specs (same digest) are simulated once; cached results
-        are loaded from the store in one query; the rest run on the pool
-        (``jobs > 1``) or in-process.  Result order is always the
-        submission order, so a parallel batch is bit-identical to a
-        sequential one.
+        Identical specs (same digest) are simulated once, sanitized if
+        any of them is; cached results are loaded from the store in one
+        query; the rest run on the pool (``jobs > 1``) or in-process.
+        Result order is always the submission order, so a parallel
+        batch is bit-identical to a sequential one.
 
         Failure isolation: unless ``fail_fast=True``, a run that fails
         terminally (after retries) occupies its slot in the returned
@@ -686,13 +695,15 @@ class Engine:
         ``pool=True`` runs every uncached spec in a worker process, even
         a lone one that would otherwise run in this process.  A caller
         running several batches at once from threads uses it so the
-        simulations do not share one interpreter lock.
+        simulations do not share one interpreter lock.  Such calls are
+        safe: the counters of :attr:`stats` update under one lock.
         """
         t_batch = time.perf_counter()
         progress = progress if progress is not None else self.progress
+        stats = self.stats
         if self.max_cycles is not None:
             specs = [replace(s, max_cycles=self.max_cycles) for s in specs]
-        if self.metrics or self.trace_dir is not None:
+        if self.metrics or self.trace_dir is not None or self.sanitize:
             if self.trace_dir is not None:
                 self.trace_dir.mkdir(parents=True, exist_ok=True)
             specs = [self._observed(s) for s in specs]
@@ -701,24 +712,30 @@ class Engine:
         for spec in specs:
             d = spec.digest()
             order.append(d)
-            if d in unique:
-                self.stats.deduped += 1
-            else:
+            # Twins share one run; the sanitized one, so its checks run.
+            if d not in unique or (spec.sanitize
+                                   and not unique[d].sanitize):
                 unique[d] = spec
-        self.stats.submitted += len(specs)
+
+        cache = self.cache
 
         # Sanitized runs bypass the cache: a cached result would skip
         # the invariant checks that are the whole point of the mode.
         # Traced runs do too: the trace file is a side effect a cached
         # result could not reproduce (metrics-only runs stay cacheable —
         # the registry snapshot rides inside the cached RunResult).
-        cache = self.cache if not self.sanitize else None
-
         def cacheable(d: str) -> bool:
-            return cache is not None and unique[d].trace is None
+            spec = unique[d]
+            return (cache is not None and spec.trace is None
+                    and not spec.sanitize)
 
         lookup = [d for d in unique if cacheable(d)]
         hits = cache.get(lookup) if lookup else {}
+        with _COUNT_LOCK:
+            stats.submitted += len(specs)
+            stats.deduped += len(specs) - len(unique)
+            stats.hits += len(hits)
+            stats.misses += len(lookup) - len(hits)
 
         results: dict[str, RunResult | RunFailure] = {}
         done = 0
@@ -737,26 +754,25 @@ class Engine:
         for d in unique:
             hit = hits.get(d)
             if hit is not None:
-                self.stats.hits += 1
                 results[d] = hit
                 emit(d, hit, True, 0.0)
-                continue
-            if cacheable(d):
-                self.stats.misses += 1
-            todo.append(d)
+            else:
+                todo.append(d)
 
         def record(d: str, res: RunResult, elapsed: float) -> None:
             results[d] = res
-            self.stats.sims += 1
-            self.stats.sim_time += elapsed
+            with _COUNT_LOCK:
+                stats.sims += 1
+                stats.sim_time += elapsed
             if cacheable(d):
                 cache.put(d, res)
             emit(d, res, False, elapsed)
 
         def fail(d: str, failure: RunFailure) -> None:
             results[d] = failure
-            self.failures.append(failure)
-            self.stats.failures += 1
+            with _COUNT_LOCK:
+                self.failures.append(failure)
+                stats.failures += 1
             emit(d, failure, False, failure.elapsed)
 
         def cancelled(d: str) -> None:
@@ -767,7 +783,8 @@ class Engine:
                                "(batch cancellation token set)")
             results[d] = RunFailure.from_exception(
                 unique[d], d, exc, attempts=0)
-            self.stats.cancelled += 1
+            with _COUNT_LOCK:
+                stats.cancelled += 1
             emit(d, results[d], False, 0.0)
 
         try:
@@ -775,19 +792,23 @@ class Engine:
                 self._schedule(todo, unique, record, fail, cancelled, cancel,
                                pool or (len(todo) > 1 and self.jobs > 1))
         finally:
-            if self.cache is not None:
-                self.stats.quarantined = self.cache.quarantined
-            self.stats.wall_time += time.perf_counter() - t_batch
+            with _COUNT_LOCK:
+                if cache is not None:
+                    stats.quarantined = cache.quarantined
+                stats.wall_time += time.perf_counter() - t_batch
         return [results[d] for d in order]
 
     # ------------------------------------------------------------------
     def _observed(self, spec: RunSpec) -> RunSpec:
-        """Apply the engine-level ``metrics``/``trace_dir`` knobs.
+        """Apply the engine-level ``metrics``/``trace_dir``/``sanitize``
+        knobs.
 
         Applied before dedup, so digests reflect the observation state;
         per-spec settings win over the engine-level defaults.
         """
         changes: dict = {}
+        if self.sanitize and not spec.sanitize:
+            changes["sanitize"] = True
         if self.metrics and not spec.metrics:
             changes["metrics"] = True
         if self.trace_dir is not None and spec.trace is None:
@@ -846,7 +867,7 @@ class Engine:
             t0 = time.monotonic()  # before an inline run, not after
             try:
                 fut = executor.submit(_execute_timed, unique[d], attempt,
-                                      self.faults, self.sanitize, use_pool)
+                                      self.faults, use_pool)
             except BrokenExecutor as exc:
                 # A worker died after the last wait: settle this spec
                 # as broken so the broken-pool path requeues it.
@@ -871,7 +892,8 @@ class Engine:
             category = categorize(exc)
             if (policy.retryable(category)
                     and fail_count[d] < policy.max_attempts):
-                self.stats.retries += 1
+                with _COUNT_LOCK:
+                    self.stats.retries += 1
                 not_before[d] = (time.monotonic()
                                  + policy.delay(fail_count[d]))
                 # Crash suspects go to the solo queue so a repeat
@@ -942,7 +964,8 @@ class Engine:
                         handle_failure(d, exc, elapsed)
                         continue
                     if self.timeout is not None and sim_elapsed > self.timeout:
-                        self.stats.timeouts += 1
+                        with _COUNT_LOCK:
+                            self.stats.timeouts += 1
                         handle_failure(d, RunTimeoutError(
                             f"run exceeded {self.timeout:.3g}s budget "
                             f"({sim_elapsed:.3g}s elapsed)"), elapsed)
@@ -967,7 +990,8 @@ class Engine:
                     expired = [(fut, d, t0) for fut, (d, t0)
                                in inflight.items() if now - t0 > self.timeout]
                     if expired:
-                        self.stats.timeouts += len(expired)
+                        with _COUNT_LOCK:
+                            self.stats.timeouts += len(expired)
                         expired_futs = {fut for fut, _d, _t0 in expired}
                         # Co-scheduled runs die with the pool through no
                         # fault of their own: requeue without blame.

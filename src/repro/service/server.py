@@ -6,15 +6,15 @@ semantics):
 * an asyncio socket server speaking a deliberately small slice of
   HTTP/1.1 (one request per connection, ``Connection: close``) — no
   ``http.server``, no third-party framework;
-* a **scheduler task** that claims compatible queued jobs from the
+* a **scheduler task** that claims queued jobs from the
   :class:`~repro.service.store.JobStore` (priority, then FIFO) the
   moment a worker slot is free, and executes them through the
-  ordinary :meth:`Engine.run_batch` in a worker thread — so the
-  service inherits the engine's dedup, result cache, retries,
-  timeouts and failure isolation verbatim rather than reimplementing
-  them.  Batches run side by side until they fill the engine's
-  ``jobs`` worker slots; jobs that arrive while every slot is busy
-  wait in the queue and the next claim takes them together;
+  ordinary :meth:`Engine.run_batch` of the server's one engine in a
+  worker thread — so the service inherits the engine's dedup, result
+  cache, retries, timeouts and failure isolation verbatim rather than
+  reimplementing them.  Batches run side by side until they fill the
+  engine's ``jobs`` worker slots; jobs that arrive while every slot is
+  busy wait in the queue and the next claim takes them together;
 * **admission control**: a submission is rejected with ``429`` when
   the queue is too deep, the queued spec bytes exceed the bound, or
   the per-client token bucket is empty.  Load is shed at the door, not
@@ -35,11 +35,11 @@ import json
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
-from repro.harness.engine import Engine, RunSpec, default_jobs
+from repro.harness.engine import Engine, RunSpec
 from repro.harness.resilience import RunFailure
 from repro.obs.metrics import MetricsRegistry
 from repro.service.serialize import failure_payload, result_payload
@@ -110,13 +110,7 @@ class _BatchState:
 
     jobs: list[Job]
     slots: int                       #: worker slots it occupies
-    engine: Engine | None = None     #: used by this batch alone
     jobs_by_digest: dict[str, list[Job]] = field(default_factory=dict)
-
-
-def _stat_sum(engines: list[Engine], name: str) -> int:
-    """One :class:`EngineStats` counter summed over ``engines``."""
-    return sum(getattr(eng.stats, name) for eng in engines)
 
 
 class ServiceServer:
@@ -124,18 +118,15 @@ class ServiceServer:
 
     ``engine_opts`` are passed through to :class:`Engine` — the service
     composes with every engine feature (``jobs=``, ``cache=``,
-    ``timeout=``, ``retry=``, ``faults=`` for chaos drills...).
-    Engines are kept per batch-compatibility key (currently the
-    ``sanitize`` flag, which is engine-level) and created lazily, one
-    for each batch running at once under that key; they share the
-    same cache directory, so results flow between them.
+    ``timeout=``, ``retry=``, ``faults=`` for chaos drills...).  One
+    engine runs every batch, side by side on its ``jobs`` worker
+    slots; a job's ``sanitize`` flag rides on its own spec.
     """
 
     def __init__(self, config: ServiceConfig | None = None, *,
                  engine_opts: dict | None = None) -> None:
         self.config = config or ServiceConfig()
-        self.engine_opts = dict(engine_opts or {})
-        self.engine_opts.pop("sanitize", None)  # batch key, not an opt
+        self.engine = Engine(**(engine_opts or {}))
         self.store = JobStore(self.config.db_path)
         self.recovered = self.store.recover()
         self.registry = MetricsRegistry()
@@ -144,10 +135,6 @@ class ServiceServer:
         self.cancel = threading.Event()
         self.draining = False
         self.started_at = time.time()
-        #: Worker slots the running batches share (the engine's ``jobs``).
-        jobs = self.engine_opts.get("jobs")
-        self.workers = max(1, jobs) if jobs is not None else default_jobs()
-        self._engines: dict[bool, list[Engine]] = {}
         self._buckets: dict[str, TokenBucket] = {}
         #: Batches inside ``run_batch``.  Loop-thread only.
         self._batches: list[_BatchState] = []
@@ -265,17 +252,6 @@ class ServiceServer:
             self.store.close()
 
     # -- scheduler -----------------------------------------------------
-    def _engine_for(self, sanitize: bool) -> Engine:
-        """An engine no running batch is using, created on first need:
-        an :class:`Engine` runs one batch at a time."""
-        engines = self._engines.setdefault(sanitize, [])
-        for eng in engines:
-            if all(b.engine is not eng for b in self._batches):
-                return eng
-        eng = Engine(sanitize=sanitize, **self.engine_opts)
-        engines.append(eng)
-        return eng
-
     async def _scheduler(self) -> None:
         cfg = self.config
         shutdown, wake = self._shutdown_ev, self._wake
@@ -285,7 +261,7 @@ class ServiceServer:
             # stays set, so the wait below cannot miss it.
             wake.clear()
             busy = sum(b.slots for b in self._batches)
-            if (self._paused or busy >= self.workers
+            if (self._paused or busy >= self.engine.jobs
                     or self.store.queue_depth() == 0):
                 await wake.wait()
                 continue
@@ -298,7 +274,7 @@ class ServiceServer:
             # per distinct spec, up to the engine's workers.
             state = _BatchState(
                 jobs, slots=min(len({j.digest for j in jobs}),
-                                self.workers))
+                                self.engine.jobs))
             self._batches.append(state)
             task = asyncio.create_task(self._run_batch(state))
             running.add(task)
@@ -308,7 +284,6 @@ class ServiceServer:
     async def _run_batch(self, state: _BatchState) -> None:
         loop = asyncio.get_running_loop()
         try:
-            state.engine = self._engine_for(state.jobs[0].sanitize)
             await loop.run_in_executor(None, self._execute_batch, state)
         except Exception as exc:  # defensive: never lose a batch
             for j in state.jobs:
@@ -333,7 +308,9 @@ class ServiceServer:
 
         Jobs are keyed on the digest recomputed here, under the running
         code's salt, because that is the digest ``_persist`` sees; the
-        one stored at submit may predate an upgrade and restart.
+        one stored at submit may predate an upgrade and restart.  A
+        job's ``sanitize`` flag goes onto its spec; a plain job and a
+        sanitized one of the same digest share the sanitized run.
 
         With more than one worker every simulation runs in a worker
         process, even a batch's lone one, so batches running side by
@@ -343,14 +320,16 @@ class ServiceServer:
         specs = []
         for job in state.jobs:
             spec = RunSpec.from_dict(job.spec)
+            if job.sanitize:
+                spec = replace(spec, sanitize=True)
             specs.append(spec)
             state.jobs_by_digest.setdefault(spec.digest(), []).append(job)
         with self._mlock:
             self.registry.counter("service_batches_total").inc()
             self.registry.histogram("service_batch_jobs") \
                 .record(len(state.jobs))
-        state.engine.run_batch(
-            specs, cancel=self.cancel, pool=self.workers > 1,
+        self.engine.run_batch(
+            specs, cancel=self.cancel, pool=self.engine.jobs > 1,
             progress=lambda ev: self._persist(state, ev))
 
     def _persist(self, state: _BatchState, ev) -> None:
@@ -500,11 +479,7 @@ class ServiceServer:
     # -- endpoints -----------------------------------------------------
     def _healthz(self) -> dict:
         counts = self.store.counts()
-        engines = {
-            "sanitize" if key else "default": {
-                name: _stat_sum(engs, name) for name in
-                ("sims", "hits", "failures", "retries", "cancelled")}
-            for key, engs in self._engines.items()}
+        stats = self.engine.stats
         return {
             "status": "draining" if self.draining else "ok",
             "uptime_s": round(time.time() - self.started_at, 3),
@@ -514,7 +489,8 @@ class ServiceServer:
             "running_batch": sorted(
                 j.id for b in self._batches for j in b.jobs),
             "recovered_on_start": self.recovered,
-            "engines": engines,
+            "engine": {name: getattr(stats, name) for name in
+                       ("sims", "hits", "failures", "retries", "cancelled")},
         }
 
     def _metrics_text(self) -> str:
@@ -526,11 +502,10 @@ class ServiceServer:
                 .set(self.store.queued_bytes())
             self.registry.gauge("service_uptime_seconds") \
                 .set(round(time.time() - self.started_at, 3))
-            engines = [e for engs in self._engines.values() for e in engs]
-            for gauge, name in (("engine_sims", "sims"),
-                                ("engine_cache_hits", "hits"),
-                                ("engine_deduped", "deduped")):
-                self.registry.gauge(gauge).set(_stat_sum(engines, name))
+            stats = self.engine.stats
+            self.registry.gauge("engine_sims").set(stats.sims)
+            self.registry.gauge("engine_cache_hits").set(stats.hits)
+            self.registry.gauge("engine_deduped").set(stats.deduped)
             return self.registry.to_prometheus()
 
     def _list_jobs(self, query: dict):

@@ -91,10 +91,10 @@ class Job:
             result=json.loads(row["result"]) if row["result"] else None,
             failure=json.loads(row["failure"]) if row["failure"] else None)
 
-    def to_dict(self, *, with_payloads: bool = False) -> dict:
+    def to_dict(self) -> dict:
         """Wire form for ``/jobs`` listings and job-status responses."""
         mode = self.spec.get("mode") or {}
-        d = {
+        return {
             "id": self.id,
             "digest": self.digest,
             "app": self.spec.get("app"),
@@ -107,11 +107,6 @@ class Job:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
         }
-        if with_payloads:
-            d["spec"] = self.spec
-            d["result"] = self.result
-            d["failure"] = self.failure
-        return d
 
     @property
     def terminal(self) -> bool:
@@ -213,27 +208,14 @@ class JobStore:
 
     # -- scheduling ----------------------------------------------------
     def claim(self, limit: int) -> list[Job]:
-        """Atomically move the next batch of *compatible* queued jobs to
-        ``running`` and return them.
-
-        Order is priority (higher first), then FIFO within a priority
-        (``seq``).  Compatibility: every job in a batch shares the
-        head-of-queue job's ``sanitize`` flag, because the engine
-        applies sanitize per batch, not per spec — an incompatible job
-        simply waits for the next batch rather than changing the
-        semantics of this one.
-        """
+        """Atomically move the next ``limit`` queued jobs to ``running``
+        and return them: priority (higher first), then FIFO within a
+        priority (``seq``).  Sanitized and plain jobs share a batch."""
         with self._lock, self._db:
-            head = self._db.execute(
-                "SELECT sanitize FROM jobs WHERE state = 'queued'"
-                " ORDER BY priority DESC, seq LIMIT 1").fetchone()
-            if head is None:
-                return []
             rows = self._db.execute(
                 "SELECT * FROM jobs WHERE state = 'queued'"
-                " AND sanitize = ?"
                 " ORDER BY priority DESC, seq LIMIT ?",
-                (head["sanitize"], max(1, limit))).fetchall()
+                (max(1, limit),)).fetchall()
             now = time.time()
             self._db.executemany(
                 "UPDATE jobs SET state = 'running', started_at = ?"

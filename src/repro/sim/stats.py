@@ -15,7 +15,7 @@ The cycle taxonomy follows the paper's Fig. 9 definitions:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 __all__ = ["SMStats", "RunResult"]
 
@@ -60,8 +60,9 @@ class SMStats:
         return self.idle_cycles + self.empty_cycles
 
     def to_dict(self) -> dict:
-        """Flat JSON-serializable form (all counters)."""
-        return asdict(self)
+        """Flat JSON-serializable form (all counters, in field order):
+        every value is an int, so a shallow copy is a deep one."""
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "SMStats":

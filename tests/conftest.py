@@ -14,3 +14,19 @@ import pytest
 def _isolated_result_cache(monkeypatch, tmp_path_factory):
     monkeypatch.setenv("REPRO_CACHE_DIR",
                        str(tmp_path_factory.mktemp("repro-cache")))
+
+
+@pytest.fixture
+def sanitizers_made(monkeypatch):
+    """A list that gains one item per in-process ``Sanitizer`` a
+    :class:`~repro.sim.gpu.GPU` builds (one per sanitized run)."""
+    from repro.sim import gpu
+
+    made = []
+
+    class Counted(gpu.Sanitizer):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(gpu, "Sanitizer", Counted)
+    return made

@@ -473,6 +473,72 @@ class TestEngine:
         assert Engine(cache=False).jobs == 3
         assert Engine(jobs=1, cache=False).jobs == 1
 
+    def test_sanitize_is_outside_the_identity(self):
+        s = spec()
+        twin = replace(s, sanitize=True)
+        assert twin == s and hash(twin) == hash(s)
+        assert twin.to_dict() == s.to_dict() and twin.digest() == s.digest()
+        assert not RunSpec.from_dict(twin.to_dict()).sanitize
+        assert Engine(jobs=1, cache=False, sanitize=True) \
+            ._observed(s).sanitize
+
+    @pytest.mark.parametrize("sanitized_first", [False, True])
+    def test_sanitized_twin_shares_one_uncached_run(
+            self, tmp_path, sanitizers_made, sanitized_first):
+        s = spec()
+        cached = Engine(jobs=1, cache_dir=tmp_path).run_one(s)
+        assert sanitizers_made == []
+        batch = [s, replace(s, sanitize=True)]
+        if sanitized_first:
+            batch.reverse()
+        eng = Engine(jobs=1, cache_dir=tmp_path)
+        first, second = eng.run_batch(batch)
+        assert (eng.stats.hits, eng.stats.sims, eng.stats.deduped) \
+            == (0, 1, 1)
+        assert len(sanitizers_made) == 1
+        assert first == second == cached
+
+    def test_counters_settle_before_each_progress_hook(self, tmp_path):
+        a, b, c = spec(), spec(mode=unshared("gto")), spec(app="hotspot")
+        Engine(jobs=1, cache_dir=tmp_path).run_one(a)
+        eng, seen = Engine(jobs=1, cache_dir=tmp_path), []
+        eng.run_batch([a, b, c], progress=lambda ev: seen.append(
+            (ev.cached, eng.stats.hits, eng.stats.sims)))
+        assert seen == [(True, 1, 0), (False, 1, 1), (False, 1, 2)]
+
+    def test_threads_share_one_engine(self, monkeypatch):
+        """Four threads run batches on one engine at once: every counter
+        update lands."""
+        res = spec().execute()
+        monkeypatch.setattr(RunSpec, "execute", lambda self: res)
+        eng = Engine(jobs=1, cache=False)
+        pairs = [(spec(mode=unshared(sched)), spec(app="hotspot",
+                                                   mode=unshared(sched)))
+                 for sched in ("lrr", "gto", "two_level", "owf")]
+        errors = []
+
+        def worker(a, b):
+            try:
+                for _ in range(50):
+                    assert eng.run_batch([a, b, a]) == [res] * 3
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=pair)
+                       for pair in pairs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        st = eng.stats
+        assert (st.submitted, st.deduped, st.sims) == (600, 200, 400)
+
 
 class TestExperimentIntegration:
     """The acceptance criteria: warm cache ⇒ zero simulations."""

@@ -131,11 +131,28 @@ class TestRoundTrip:
             ids = [client.submit(s)["id"] for _ in range(3)]
             server.paused = False
             payloads = wait_done(client, ids)
-            (engine,) = server._engines[False]
-        assert engine.stats.sims == 1
+        assert server.engine.stats.sims == 1
         results = {jid: parse_result(p) for jid, p in payloads.items()}
         assert len(set(map(id, results.values()))) == 3  # distinct objects
         assert len({r.cycles for r in results.values()}) == 1
+
+    def test_sanitized_and_plain_twins_share_one_batch(self, tmp_path,
+                                                        sanitizers_made):
+        s = spec()
+        with service(tmp_path, start_paused=True) as (server, client):
+            plain = client.submit(s)["id"]
+            sanitized = client.submit(s, sanitize=True)["id"]
+            server.paused = False
+            payloads = wait_done(client, [plain, sanitized])
+            jobs = {jid: client.status(jid) for jid in (plain, sanitized)}
+            batches = server.registry.counter("service_batches_total")
+        assert [j["state"] for j in jobs.values()] == ["done", "done"]
+        assert [j["sanitize"] for j in jobs.values()] == [False, True]
+        assert batches.to_value() == 1
+        assert server.engine.stats.sims == 1 and len(sanitizers_made) == 1
+        assert payloads[plain]["result"] == payloads[sanitized]["result"]
+        assert parse_result(payloads[plain]) == Engine(
+            jobs=1, cache=False).run_one(s)
 
     def test_status_and_listing(self, tmp_path):
         with service(tmp_path) as (_server, client):
@@ -165,7 +182,7 @@ class TestEndpoints:
             health = client.healthz()
         assert health["status"] == "ok"
         assert health["jobs"]["done"] == 1
-        assert health["engines"]["default"]["sims"] == 1
+        assert health["engine"]["sims"] == 1
         assert health["recovered_on_start"] == 0
 
     def test_metrics_prometheus_text(self, tmp_path):
@@ -549,9 +566,8 @@ class TestFailurePaths:
             transient = client.wait(ids[0], timeout=60)
             persistent = client.wait(ids[1], timeout=60)
             clean = client.wait(ids[2], timeout=60)
-            (engine,) = server._engines[False]
         assert transient["ok"] is True          # retry absorbed the crash
-        assert engine.stats.retries >= 1
+        assert server.engine.stats.retries >= 1
         assert persistent["ok"] is False
         failure = parse_result(persistent)
         assert failure.category == "error"
@@ -597,11 +613,11 @@ class TestBatching:
             wait_done(client, ids)
             batches = server.registry.counter("service_batches_total")
             sizes = server.registry.histogram("service_batch_jobs")
-            (engine,) = server._engines[False]
         assert batches.to_value() == 2
         assert (sizes.count, sizes.min, sizes.max) == (2, 1, len(later))
         # ``first`` plus four distinct specs; the pair ran once.
-        assert (engine.stats.sims, engine.stats.deduped) == (5, 1)
+        stats = server.engine.stats
+        assert (stats.sims, stats.deduped) == (5, 1)
 
 
     def test_free_worker_claims_beside_a_running_batch(self, tmp_path,
@@ -642,12 +658,11 @@ class TestBatching:
             release.touch()
             assert client.wait(held, timeout=30)["ok"] is True
             batches = server.registry.counter("service_batches_total")
-            engines = server._engines[False]
         assert state == "running"
         assert parse_result(beside) == Engine(jobs=1, cache=False) \
             .run_one(second)
         assert batches.to_value() == 2
-        assert len(engines) == 2  # one engine per concurrent batch
+        assert server.engine.stats.sims == 2  # both batches, one engine
         assert pools == [{"max_workers": 1}] * 2
 
 

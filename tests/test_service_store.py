@@ -84,16 +84,16 @@ class TestClaimOrdering:
         assert len(st.claim(2)) == 2
         assert st.queue_depth() == 3
 
-    def test_claim_groups_by_sanitize(self, tmp_path):
+    def test_claim_mixed_sanitize_in_fifo_order(self, tmp_path):
+        # Sanitize is per run, so a sanitized job never breaks the queue.
         st = store(tmp_path)
-        plain = st.submit({"app": "a"}, "da")
-        san = st.submit({"app": "b"}, "db", sanitize=True)
-        plain2 = st.submit({"app": "c"}, "dc")
-        first = st.claim(10)
-        assert [j.id for j in first] == [plain.id, plain2.id]
-        second = st.claim(10)
-        assert [j.id for j in second] == [san.id]
-        assert second[0].sanitize is True
+        jobs = [st.submit({"app": "a"}, "da"),
+                st.submit({"app": "b"}, "db", sanitize=True),
+                st.submit({"app": "c"}, "dc"),
+                st.submit({"app": "a"}, "da", sanitize=True)]
+        claimed = st.claim(10)
+        assert [j.id for j in claimed] == [j.id for j in jobs]
+        assert [j.sanitize for j in claimed] == [False, True, False, True]
 
     def test_claim_empty_queue(self, tmp_path):
         assert store(tmp_path).claim(10) == []
@@ -195,12 +195,3 @@ class TestWireForm:
         assert d["app"] == "gaussian"
         assert d["mode"] == "unshared-lrr"
         assert "spec" not in d and "result" not in d
-
-    def test_to_dict_with_payloads(self, tmp_path):
-        st = store(tmp_path)
-        job = submit(st)
-        st.claim(1)
-        st.finish(job.id, {"ok": True})
-        d = st.get(job.id).to_dict(with_payloads=True)
-        assert d["result"] == {"ok": True}
-        assert d["spec"] == job.spec

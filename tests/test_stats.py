@@ -1,6 +1,7 @@
 """SMStats / RunResult accounting and serialization."""
 
 import json
+from dataclasses import asdict, fields
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,6 +150,14 @@ class TestSerialization:
         for orig, back in zip(r.sm_stats, restored.sm_stats):
             assert type(back.instructions) is int
             assert back == orig
+
+    def test_sm_to_dict_equals_asdict_in_field_order(self):
+        s = SMStats(*range(7, 7 + len(fields(SMStats))))
+        d = s.to_dict()
+        assert d == asdict(s)
+        assert list(d) == [f.name for f in fields(SMStats)]
+        d["instructions"] += 1
+        assert s.instructions == 8  # a copy, not the instance's dict
 
     def test_mutating_copy_not_aliased(self):
         r = RunResult(kernel="k", mode="m", cycles=1, instructions=1,
