@@ -17,6 +17,9 @@ actually deploys:
    of that batch's jobs back to the queue;
 4. restart on the same store and drain the queue to completion.
 
+The store lives in a temporary directory that is removed on exit, pass
+or fail.
+
 Usage::
 
     PYTHONPATH=src python scripts/service_smoke.py
@@ -203,21 +206,22 @@ def drain_after_restart(port: int, ids: list[str]) -> None:
 def main(argv: list[str] | None = None) -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]) \
         .parse_args(argv)
-    tmp = Path(tempfile.mkdtemp(prefix="repro-service-smoke-"))
-    db = tmp / "jobs.sqlite"
-    port = free_port()
+    with tempfile.TemporaryDirectory(prefix="repro-service-smoke-",
+                                     ignore_cleanup_errors=True) as tmp:
+        db = Path(tmp) / "jobs.sqlite"
+        port = free_port()
 
-    print(f"service smoke: port {port}, store {db}")
-    proc = start_server(port, db)
-    try:
-        check_digest_equality(port)
-        ids = queue_20_and_sigterm(port, db, proc)
+        print(f"service smoke: port {port}, store {db}")
         proc = start_server(port, db)
-        drain_after_restart(port, ids)
-    finally:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=60)
+        try:
+            check_digest_equality(port)
+            ids = queue_20_and_sigterm(port, db, proc)
+            proc = start_server(port, db)
+            drain_after_restart(port, ids)
+        finally:
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGTERM)
+                proc.wait(timeout=60)
     print("service smoke: OK")
     return 0
 

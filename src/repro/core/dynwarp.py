@@ -14,8 +14,8 @@ warps with a per-SM probability ``p``:
 The paper does not specify what happens to a *refused* instruction; a
 per-cycle retry would reduce ``p`` to a one-cycle delay, so we block the
 refused warp until the end of the current monitoring window (see
-DESIGN.md §4).  Draws come from a seeded PCG64 stream per SM, so runs are
-deterministic.
+DESIGN.md §4).  Draws come from a seeded PCG64 stream per SM
+(:mod:`repro.rng`), so runs are deterministic.
 
 One escape hatch lives in ``SMCore._dyn_critical``: a non-owner warp
 whose block holds a shared pool that a partner-side warp is lock-blocked
@@ -26,7 +26,7 @@ that only the throttled block can release.
 
 from __future__ import annotations
 
-import numpy as np
+from repro.rng import PCG64
 
 __all__ = ["DynWarpController"]
 
@@ -48,8 +48,7 @@ class DynWarpController:
         self.p = [1.0] * num_sms
         self.p[0] = 0.0
         self._window_stalls = [0] * num_sms
-        self._rngs = [np.random.Generator(np.random.PCG64(seed + 977 * i))
-                      for i in range(num_sms)]
+        self._rngs = [PCG64(seed + 977 * i) for i in range(num_sms)]
         #: Cycle at which the next window closes (maintained by caller's
         #: event scheduling; stored for convenience).
         self.next_window_end = period
@@ -62,7 +61,7 @@ class DynWarpController:
             return True
         if p <= 0.0:
             return False
-        return bool(self._rngs[sm_id].random() < p)
+        return self._rngs[sm_id].random() < p
 
     def record_stall(self, sm_id: int, n: int = 1) -> None:
         """Accumulate ``n`` stall cycles for ``sm_id`` in this window."""

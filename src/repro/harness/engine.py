@@ -86,9 +86,10 @@ CACHE_SCHEMA = 2
 #: that can change simulation results.  Reports/CLI/docs are excluded.
 #: ``obs`` is included not because observation may change results (it
 #: must not) but because metrics/trace payloads cached alongside results
-#: must be invalidated when their schema evolves.
-_SALT_SOURCES = ("config.py", "core", "isa", "mem", "obs", "sched", "sim",
-                 "workloads", "harness/runner.py")
+#: must be invalidated when their schema evolves.  Every ``repro`` module
+#: a salted file imports is salted too (``tests/test_engine.py`` checks).
+_SALT_SOURCES = ("config.py", "events.py", "rng.py", "core", "isa", "mem",
+                 "obs", "sched", "sim", "workloads", "harness/runner.py")
 
 
 @lru_cache(maxsize=1)

@@ -43,7 +43,7 @@ from repro.harness.engine import Engine, RunSpec
 from repro.harness.resilience import RunFailure
 from repro.obs.metrics import MetricsRegistry
 from repro.service.serialize import failure_payload, result_payload
-from repro.service.store import Job, JobStore
+from repro.service.store import JOB_STATES, Job, JobStore
 from repro.workloads.apps import APPS
 
 __all__ = ["ServiceConfig", "ServiceServer", "TokenBucket"]
@@ -287,17 +287,11 @@ class ServiceServer:
             await loop.run_in_executor(None, self._execute_batch, state)
         except Exception as exc:  # defensive: never lose a batch
             for j in state.jobs:
-                self.store.fail(j.id, {
-                    "schema": 1, "ok": False, "digest": j.digest,
-                    "failure": {
-                        "category": "error",
-                        "exception_type": type(exc).__name__,
-                        "message": f"service batch runner died: {exc}",
-                        "spec_digest": j.digest,
-                        "app": j.spec.get("app") or "?",
-                        "mode": "?", "attempts": 1, "elapsed": 0.0,
-                        "traceback_tail": "",
-                    }})
+                self.store.fail(j.id, failure_payload(RunFailure(
+                    category="error", exception_type=type(exc).__name__,
+                    message=f"service batch runner died: {exc}",
+                    spec_digest=j.digest, app=j.spec.get("app") or "?",
+                    mode="?")))
             self._wake_waiters(j.id for j in state.jobs)
         finally:
             self._batches.remove(state)
@@ -510,8 +504,7 @@ class ServiceServer:
 
     def _list_jobs(self, query: dict):
         state = query.get("state")
-        if state is not None and state not in (
-                "queued", "running", "done", "failed", "cancelled"):
+        if state is not None and state not in JOB_STATES:
             return 400, {"error": f"unknown state {state!r}"}
         try:
             limit = int(query.get("limit", 200))

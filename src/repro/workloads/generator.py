@@ -9,12 +9,11 @@ for fuzzing scheduler/sharing interactions.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.config import GPUConfig, WARP_SIZE
 from repro.isa.builder import KernelBuilder
 from repro.isa.kernel import Kernel
 from repro.isa.opcodes import Pattern
+from repro.rng import PCG64
 
 __all__ = ["GeneratorParams", "generate_kernel"]
 
@@ -52,53 +51,53 @@ def generate_kernel(seed: int, params: GeneratorParams | None = None,
     """Deterministically generate a valid kernel that fits on an SM."""
     p = params or GeneratorParams()
     cfg = config or GPUConfig()
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = PCG64(seed)
 
-    warps = int(rng.integers(p.min_warps, p.max_warps + 1))
+    warps = rng.integers(p.min_warps, p.max_warps + 1)
     threads = warps * WARP_SIZE
     # Keep one block launchable: regs_per_thread * threads <= R.
     max_regs_fit = max(p.min_regs,
                        min(p.max_regs, cfg.registers_per_sm // threads))
-    regs = int(rng.integers(p.min_regs, max_regs_fit + 1))
-    smem = int(rng.integers(0, min(p.max_smem, cfg.scratchpad_per_sm) + 1))
+    regs = rng.integers(p.min_regs, max_regs_fit + 1)
+    smem = rng.integers(0, min(p.max_smem, cfg.scratchpad_per_sm) + 1)
     smem = (smem // 64) * 64  # realistic 64 B granularity
 
-    use_variance = bool(rng.random() < p.variance_prob)
+    use_variance = rng.random() < p.variance_prob
     # barriers inside loops are incompatible with variance (CUDA UB)
     allow_loop_bar = not use_variance
 
     b = KernelBuilder(
         f"gen{seed}", block_size=threads, regs=regs, smem=smem, seed=seed,
         alloc="high_first" if rng.random() < 0.5 else "low_first",
-        variance=float(rng.uniform(0.1, 0.6)) if use_variance else 0.0)
+        variance=rng.uniform(0.1, 0.6) if use_variance else 0.0)
 
     def emit_body(in_loop: bool) -> None:
-        n = int(rng.integers(1, p.max_body + 1))
+        n = rng.integers(1, p.max_body + 1)
         for _ in range(n):
             kind = rng.random()
             if kind < 0.45:
                 if rng.random() < 0.5:
-                    b.alu_chain(int(rng.integers(1, 4)))
+                    b.alu_chain(rng.integers(1, 4))
                 else:
-                    b.alu_indep(int(rng.integers(1, 4)))
+                    b.alu_indep(rng.integers(1, 4))
             elif kind < 0.55:
                 b.sfu(1)
             elif kind < 0.75:
-                pat = _PATTERNS[int(rng.integers(0, len(_PATTERNS)))]
-                txn = (int(rng.integers(1, 9))
+                pat = _PATTERNS[rng.integers(0, len(_PATTERNS))]
+                txn = (rng.integers(1, 9)
                        if pat in (Pattern.STRIDED, Pattern.RANDOM) else 1)
-                b.ldg(region=f"r{int(rng.integers(0, 3))}",
-                      footprint=int(rng.integers(1, 65)) * 8 * KB,
+                b.ldg(region=f"r{rng.integers(0, 3)}",
+                      footprint=rng.integers(1, 65) * 8 * KB,
                       pattern=pat, txn=txn,
-                      block_private=bool(rng.random() < 0.5))
+                      block_private=rng.random() < 0.5)
             elif kind < 0.85:
-                b.stg(footprint=int(rng.integers(1, 65)) * 8 * KB)
+                b.stg(footprint=rng.integers(1, 65) * 8 * KB)
             elif smem > 0 and kind < 0.97:
-                off = int(rng.integers(0, smem))
-                wrap = int(rng.integers(off + 1, smem + 1)) \
+                off = rng.integers(0, smem)
+                wrap = rng.integers(off + 1, smem + 1) \
                     if rng.random() < 0.5 else 0
-                stride = int(rng.integers(0, 256)) if wrap else 0
-                conflicts = int(rng.integers(1, 5)) \
+                stride = rng.integers(0, 256) if wrap else 0
+                conflicts = rng.integers(1, 5) \
                     if rng.random() < 0.2 else 1
                 if rng.random() < 0.5:
                     b.lds(offset=off, stride=stride, wrap=wrap,
@@ -114,8 +113,8 @@ def generate_kernel(seed: int, params: GeneratorParams | None = None,
                     b.alu_indep(1)
 
     emit_body(in_loop=False)
-    for _ in range(int(rng.integers(0, p.max_loops + 1))):
-        with b.loop(int(rng.integers(2, p.max_loop_trip + 1))):
+    for _ in range(rng.integers(0, p.max_loops + 1)):
+        with b.loop(rng.integers(2, p.max_loop_trip + 1)):
             emit_body(in_loop=True)
         if rng.random() < p.barrier_prob:
             b.bar()

@@ -1,5 +1,6 @@
 """Execution engine: RunSpec digests, result cache, parallel equality."""
 
+import ast
 import gc
 import hashlib
 import json
@@ -109,6 +110,34 @@ class TestRunSpec:
         # digest, and the salt is a fixed-size hex string
         assert len(code_salt()) == 16
         int(code_salt(), 16)
+
+    def test_salt_covers_every_import_of_a_salted_file(self):
+        # A result-changing edit to a module the simulator imports must
+        # change the salt, or every result store serves stale results.
+        root = Path(engine_mod.__file__).resolve().parent.parent
+        salted = set()
+        for entry in engine_mod._SALT_SOURCES:
+            p = root / entry
+            salted.update(p.rglob("*.py") if p.is_dir() else [p])
+        unsalted = set()
+        for f in salted:
+            for node in ast.walk(ast.parse(f.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                for name in names:
+                    if name.split(".")[0] != "repro" or name == "repro":
+                        continue
+                    path = root.joinpath(*name.split(".")[1:])
+                    target = path / "__init__.py" if path.is_dir() \
+                        else path.with_suffix(".py")
+                    assert target.is_file(), (f, name)
+                    if target not in salted:
+                        unsalted.add(f"{f.relative_to(root)} -> {name}")
+        assert not unsalted, sorted(unsalted)
 
 
 #: ``Kernel.fingerprint`` of every registry app at scales 0.15 and 1.0.

@@ -576,6 +576,28 @@ class TestFailurePaths:
             .run_one(specs[2])
         assert json.loads(json.dumps(persistent)) == persistent
 
+    def test_batch_runner_death_fails_every_job(self, tmp_path,
+                                                monkeypatch):
+        """A batch whose worker-thread body raises still settles every
+        job: ``failed``, with a payload that parses to a RunFailure."""
+        specs = distinct_specs(2)
+        with service(tmp_path, start_paused=True) as (server, client):
+            def die(state):
+                raise RuntimeError("boom")
+            monkeypatch.setattr(server, "_execute_batch", die)
+            ids = [client.submit(s)["id"] for s in specs]
+            server.paused = False
+            payloads = wait_done(client, ids)
+            states = [client.status(jid)["state"] for jid in ids]
+        assert states == ["failed", "failed"]
+        for s, jid in zip(specs, ids):
+            failure = parse_result(payloads[jid])
+            assert failure.category == "error"
+            assert failure.exception_type == "RuntimeError"
+            assert failure.message == "service batch runner died: boom"
+            assert failure.spec_digest == s.digest()
+            assert failure.app == "gaussian"
+
 
 class TestBatching:
     """An idle scheduler claims at once; jobs that arrive while every
